@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.parallel import StaticSchedule, run_partitioned
+from repro.parallel import StaticSchedule
 from repro.perf import predict_layer_times
+from repro.runtime.pool import get_pool
 from repro.workloads import TABLE2_LAYERS, layer_by_name
 
 
@@ -21,14 +22,15 @@ def test_static_schedule_balance_table():
 
 @pytest.mark.parametrize("omega", [1, 2, 4, 8])
 def test_bench_fork_join_stage(benchmark, rng, omega):
-    """Real fork-join over a transform-like elementwise stage."""
+    """Real fork-join over a transform-like elementwise stage, on the
+    persistent worker pool."""
     data = rng.standard_normal((512, 4096))
     out = np.empty_like(data)
 
     def stage(lo, hi):
         out[lo:hi] = np.tanh(data[lo:hi]) * 2.0
 
-    benchmark(run_partitioned, stage, 512, omega)
+    benchmark(get_pool(omega).run_partitioned, stage, 512, omega)
     assert np.allclose(out, np.tanh(data) * 2.0)
 
 

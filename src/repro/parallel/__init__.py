@@ -1,14 +1,11 @@
-"""Static multi-core scheduling and fork-join execution (Section 4.4)."""
+"""Static multi-core scheduling and its simulated timeline (Section 4.4)."""
 
-from .executor import parallel_stage, run_partitioned
 from .timeline import StageTimeline, simulate_stage
 from .scheduler import Partition, StaticSchedule, partition_grid, partition_range
 
 __all__ = [
     "StageTimeline",
     "simulate_stage",
-    "parallel_stage",
-    "run_partitioned",
     "Partition",
     "StaticSchedule",
     "partition_grid",

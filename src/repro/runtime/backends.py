@@ -1,66 +1,65 @@
-"""Pluggable fused-stage kernel backends for the execution engine.
+"""Fused convolution pipelines and the pluggable GEMM backends.
 
 The paper's central engineering claim (Section 4) is that low-precision
 Winograd only pays off when transform / quantize / GEMM / dequantize run
 as one tight pipeline instead of four separate whole-tensor passes.
-This module is that pipeline's seam: each quantized algorithm's online
-path is expressed as three *fused* kernels behind the
-:class:`KernelBackend` protocol --
+This module is that pipeline.  LoWino (Fig. 3), the up-casting and
+down-scaling baselines (Fig. 2a/2b) and their FP32 twin share tiling,
+``B^T d B``, the ``(T, N, C)`` scatter, the batched GEMM and
+``A^T Z A``; they differ only in where quantization sits.  So each
+algorithm is one short pipeline function (:data:`PIPELINES`) composed
+from shared stage primitives:
 
-``input_transform_quantize``
-    tile extraction + ``B^T d B`` + quantization + GEMM-operand layout,
-    written into leased scratch in one pass (no int8/int16 round-trips:
-    the quantized values stay in the float64 working buffers, where they
-    are exact integers -- see the bit-identity notes below).
-``gemm_bias``
-    the batched GEMM plus the zbar/+128 compensation accumulation, with
-    ``out=`` into scratch.
-``dequant_output_transform_epilogue``
-    scale divide + ``A^T Z A`` + tile assembly + the compiled graph's
-    bias/ReLU epilogue applied in place on the detached output (this is
-    what removes the compiler's per-step ``y + bias`` allocation).
+* :func:`_pad` -- zero-pad into leased scratch, optionally quantizing
+  (the spatial-domain schemes quantize before the transform);
+* :func:`_winograd_input` -- tiles + ``B^T d B`` + the ``(T, N, C)``
+  GEMM layout; :func:`_im2col` for the direct algorithms;
+* :func:`_gemm` -- the GEMM, issued by the :class:`KernelBackend`;
+* :func:`_wrap_divide` -- the dequantizing divide with INT32 wrap
+  semantics;
+* :func:`_scatter` + :func:`_inverse_transform` -- accumulator tiles,
+  ``A^T Z A`` and assembly; :func:`_nhwc_restore` for direct outputs;
+* :func:`epilogue` -- the compiled graph's bias/ReLU, in place.
 
-The FP32 baselines run through the same three entry points (the
-"quantize" half of the first stage is simply empty): ``fp32_winograd``
-is input transform -> float GEMM -> output transform + epilogue, and
-``fp32_direct`` is pad + im2col -> float GEMM -> NHWC restore +
-epilogue.  Routing them here gives the Table 2 denominators the same
-scratch-backed ``out=`` pipeline, stage laps, and backend choice as the
-quantized numerators.
+Every intermediate lands in the call's leased scratch via ``out=``
+targets, and each pipeline laps the tracer at the same stage boundaries
+as the reference layers' stages.  The engine
+(:class:`~repro.runtime.engine.ExecutionEngine`) owns the geometry
+lookup and the scratch lease; it hands the lease in through a
+:class:`FusedCall` and the geometry's tile grid as an argument.
 
-Backends dispatch per algorithm; the engine
-(:class:`~repro.runtime.engine.ExecutionEngine`) owns plan/geometry
-lookup and the scratch lease and passes a :class:`FusedCall` context
-through the three entry points.
+The backend's only job is issuing the GEMM: ``numpy`` runs it serially,
+``threaded`` splits its leading axis over the worker pool when the plan
+allows it.
 
 Bit-identity contract
 ---------------------
-Every backend must be bit-identical to the reference layers.  The fused
-kernels get away with skipping the reference's intermediate
+Every pipeline must be bit-identical to the reference layers.  The
+fused stages get away with skipping the reference's intermediate
 materializations because each skip is an exact no-op:
 
 - *Integer values carried in float64*: the spatial/Winograd-domain
   quantized values are integers well below 2**53, so ``int8 -> f64``
   round-trips (and the int16/int64 intermediates of the upcast path)
   change no bits.  :func:`repro.runtime.plan._plan_meta` proves the
-  bounds at plan time; when it cannot, the kernels fall back to the
+  bounds at plan time; when it cannot, the pipelines fall back to the
   reference's runtime checks and wrapping casts.
+- *Float stages replay the reference's op sequence*: ``matmul(...,
+  out=)`` into a C-contiguous buffer issues the same BLAS call as a
+  fresh allocation, so the FP32 baselines match bitwise too.
 - *In-place epilogue*: ``out += bias`` then ``np.maximum(out, 0.0,
   out=out)`` on a freshly detached output computes exactly
   ``np.maximum(out + bias, 0.0)``.
-- *Threaded GEMM* (:class:`ThreadedBlasBackend`): only the GEMM stage is
-  partitioned, over the leading tile-position/row axis, and every
-  quantized GEMM is integer-exact in float -- so the partition-dependent
-  BLAS summation order cannot change a single bit.  Float (non-exact)
-  stages are never partitioned -- with one proven exception: the
-  ``fp32_winograd`` GEMM is a *batched* ``(T, N, C) @ (T, C, K)``
-  contraction, and splitting it along the leading T axis changes which
-  thread issues each per-slice dgemm but not the dgemm itself (same
-  operands, dims, and strides per slice), so the float results are
-  bitwise partition-invariant.  The single 2D float GEMM of
-  ``fp32_direct`` has no such slice structure -- row-splitting *could*
-  change BLAS's blocking -- so it always runs serial (the plan records
-  this as ``meta["gemm_partition_safe"]``).
+- *Threaded GEMM* (:class:`ThreadedBlasBackend`): the GEMM is split
+  over its leading tile-position/row axis only when the plan records
+  ``meta["gemm_partition_safe"]``.  Every quantized GEMM is
+  integer-exact in float, so the partition-dependent BLAS summation
+  order cannot change a bit.  The ``fp32_winograd`` GEMM is a *batched*
+  ``(T, N, C) @ (T, C, K)`` contraction: splitting it along T changes
+  which thread issues each per-slice dgemm but not the dgemm itself, so
+  the float results are partition-invariant.  The single 2D float GEMM
+  of ``fp32_direct`` has no such slice structure -- row-splitting
+  *could* change BLAS's blocking -- so it always runs serial.
 """
 
 from __future__ import annotations
@@ -69,34 +68,24 @@ from typing import Any, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..conv._tileops import gemm_result_to_tiles, prepare_input_tiles, tiles_to_gemm_operand
+from ..conv._tileops import gemm_result_to_tiles, tiles_to_gemm_operand
 from ..conv.im2col import conv_output_shape, im2col
-from ..quant import QuantParams, spatial_params_from_tensor
-from ..winograd import assemble_output
+from ..quant import QuantParams, per_position_minmax_params, spatial_params_from_tensor
+from ..winograd import assemble_output, extract_tiles
+from .pool import get_pool
 
 __all__ = [
     "FUSED_ALGORITHMS",
+    "PIPELINES",
     "FusedCall",
     "KernelBackend",
     "NumpyKernelBackend",
     "ThreadedBlasBackend",
+    "epilogue",
     "resolve_backend",
     "default_backend",
     "available_backends",
 ]
-
-#: Algorithms executed through the fused backend entry points -- the
-#: four quantized pipelines plus the two FP32 baselines (whose offline
-#: state still lives on the layer objects; the fused kernels replay the
-#: layers' exact op sequences against plan-cached operands).
-FUSED_ALGORITHMS = (
-    "lowino",
-    "int8_upcast",
-    "int8_downscale",
-    "int8_direct",
-    "fp32_winograd",
-    "fp32_direct",
-)
 
 _INT8_MIN = int(np.iinfo(np.int8).min)
 _INT8_MAX = int(np.iinfo(np.int8).max)
@@ -104,49 +93,18 @@ _INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 class FusedCall:
-    """Mutable context threaded through one fused engine call.
+    """The scratch lease and tracer lap clock of one fused call.
 
-    Owns the per-call state the three kernels hand to each other (the
-    GEMM operand, the accumulator, quantization params, the tile grid)
-    plus the scratch lease and tracer lap clock.  ``buf`` returns a
-    leased scratch buffer -- or a fresh array when scratch is disabled --
-    so kernels always have an ``out=`` target.
+    ``buf`` returns a leased scratch buffer -- or a fresh array when
+    scratch is disabled -- so every stage has an ``out=`` target.
     """
 
-    __slots__ = (
-        "plan",
-        "images",
-        "bias",
-        "relu",
-        "tracer",
-        "arena",
-        "geom",
-        "grid",
-        "in_params",
-        "operand",
-        "z",
-        "gemm_dtype",
-        "oh",
-        "ow",
-        "t_lap",
-    )
+    __slots__ = ("arena", "tracer", "t_lap")
 
-    def __init__(self, plan, images, bias, relu, tracer) -> None:
-        self.plan = plan
-        self.images = images
-        self.bias = bias
-        self.relu = relu
+    def __init__(self, arena, tracer, t_lap: float) -> None:
+        self.arena = arena
         self.tracer = tracer
-        self.arena = None
-        self.geom = None
-        self.grid = None
-        self.in_params = None
-        self.operand = None
-        self.z = None
-        self.gemm_dtype = np.float64
-        self.oh = 0
-        self.ow = 0
-        self.t_lap = 0.0
+        self.t_lap = t_lap
 
     def buf(self, name: str, shape, dtype) -> np.ndarray:
         if self.arena is None:
@@ -157,525 +115,51 @@ class FusedCall:
         if self.tracer is not None:
             self.t_lap = self.tracer.lap(stage, self.t_lap)
 
+    def detach(self, out: np.ndarray) -> np.ndarray:
+        """Copy ``out`` if it aliases leased scratch (edge geometries where
+        ``assemble_output`` returns a view); the lease ends with the call,
+        so escaping views would see the next caller's data."""
+        if self.arena is not None and self.arena.aliases(out):
+            return out.copy()
+        return out
+
 
 @runtime_checkable
 class KernelBackend(Protocol):
-    """Fused-stage kernel provider for the quantized algorithms.
+    """Issues the GEMM of every fused pipeline.
 
+    ``gemm(plan, a, b, out)`` writes ``a @ b`` into ``out`` and returns
+    it; ``a`` is the ``(T, N, C)`` Winograd operand (``b`` then
+    ``(T, C, K)``) or the 2D im2col matrix (``b`` then 2D).
     Implementations must be stateless per call (one backend instance is
-    shared by every session thread) and bit-identical to the reference
-    layers -- the equivalence suite asserts the latter for every
+    shared by every session thread) and bit-identical to a serial
+    ``np.matmul`` -- the equivalence suite asserts this for every
     registered backend.
     """
 
     name: str
 
-    def input_transform_quantize(self, engine: Any, call: FusedCall) -> None: ...
-
-    def gemm_bias(self, engine: Any, call: FusedCall) -> None: ...
-
-    def dequant_output_transform_epilogue(self, engine: Any, call: FusedCall) -> np.ndarray: ...
-
-
-def _spatial_in_params(layer) -> QuantParams:
-    """Input quantization params of the spatial-domain algorithms."""
-    if layer.input_threshold is not None:
-        return QuantParams.from_threshold(layer.input_threshold, bits=layer.bits)
-    return None  # caller derives from the images (needs the tensor)
+    def gemm(self, plan: Any, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
 
 class NumpyKernelBackend:
-    """Default pure-NumPy backend: whole-tensor fused kernels.
-
-    Each ``_itq_* / _gemm_* / _deq_*`` triple replaces one reference
-    stage sequence (documented per method); internal tracer laps keep
-    the StageTracer breakdown identical in shape to the unfused engine.
-    """
+    """Default backend: one serial ``np.matmul`` per GEMM."""
 
     name = "numpy"
 
-    # -- dispatch -------------------------------------------------------
-    def input_transform_quantize(self, engine, call: FusedCall) -> None:
-        getattr(self, f"_itq_{call.plan.algorithm}")(engine, call)
-
-    def gemm_bias(self, engine, call: FusedCall) -> None:
-        getattr(self, f"_gemm_{call.plan.algorithm}")(engine, call)
-
-    def dequant_output_transform_epilogue(self, engine, call: FusedCall) -> np.ndarray:
-        return getattr(self, f"_deq_{call.plan.algorithm}")(engine, call)
-
-    # -- shared pieces --------------------------------------------------
-    @staticmethod
-    def _pad_into_scratch(call: FusedCall, images: np.ndarray, padding: int) -> np.ndarray:
-        """Zero-pad into a leased buffer (replaces ``pad_images``' fresh
-        allocation); returns the padded array, or ``images`` unpadded."""
-        if padding == 0:
-            return images
-        b, c, h, w = images.shape
-        p = padding
-        xp = call.buf("xpad", (b, c, h + 2 * p, w + 2 * p), np.float64)
-        xp[:, :, :p, :] = 0.0
-        xp[:, :, h + p :, :] = 0.0
-        xp[:, :, p : h + p, :p] = 0.0
-        xp[:, :, p : h + p, w + p :] = 0.0
-        np.copyto(xp[:, :, p : h + p, p : w + p], images)
-        return xp
-
-    @staticmethod
-    def _quantize_padded(call: FusedCall, in_params: QuantParams) -> np.ndarray:
-        """Fused quantize + zero-pad for the spatial-domain algorithms.
-
-        Replaces ``quantize(images) -> int8; pad_images(int8)`` with
-        ``rint(x * scale)`` clipped in place inside the padded float64
-        scratch buffer.  The values are the reference's int8 codes
-        exactly (integers, and quantize(0) == 0 for the border).
-        """
-        images = call.images
-        layer = call.plan.layer
-        b, c, h, w = images.shape
-        p = layer.padding
-        xp = call.buf("xpad", (b, c, h + 2 * p, w + 2 * p), np.float64)
-        if p:
-            xp[:, :, :p, :] = 0.0
-            xp[:, :, h + p :, :] = 0.0
-            xp[:, :, p : h + p, :p] = 0.0
-            xp[:, :, p : h + p, w + p :] = 0.0
-        xi = xp[:, :, p : h + p, p : w + p] if p else xp
-        np.multiply(images, in_params.scale, out=xi)
-        np.rint(xi, out=xi)
-        np.clip(xi, in_params.qmin, in_params.qmax, out=xi)
-        return xp
-
-    @staticmethod
-    def _int_input_transform(call: FusedCall, x: np.ndarray):
-        """Tiles + exact integer ``B^T d B`` in float64 working buffers.
-
-        Replaces ``prepare_input_tiles(int8) -> _transform_int_vec``
-        (which materialized an f64 cast, a fresh half product and an
-        int64 result): same matmuls on the same exact-integer values, so
-        the float64 results equal the reference's int64 transform.
-        """
-        layer = call.plan.layer
-        grid = call.geom.grid
-        b, c = x.shape[0], x.shape[1]
-        a = layer.alg.alpha
-        tile_shape = (b, c, grid.tiles_h, grid.tiles_w, a, a)
-        tiles, grid = prepare_input_tiles(
-            layer.alg, x, out=call.buf("tiles", tile_shape, np.float64)
-        )
-        call.grid = grid
-        bt = call.plan.operands["bt_f64"]
-        half = np.matmul(tiles, bt.T, out=call.buf("half", tile_shape, np.float64))
-        return np.matmul(bt, half, out=tiles), grid  # reuse the tiles buffer
-
-    @staticmethod
-    def _winograd_z_to_output(engine, call: FusedCall, z_fp: np.ndarray) -> np.ndarray:
-        """Scatter + fused ``A^T Z A`` + assembly, shared by the three
-        Winograd deq kernels (the divide upstream differs per scheme)."""
-        layer = call.plan.layer
-        grid = call.grid
-        b = call.images.shape[0]
-        k = layer.filters_fp32.shape[0]
-        a, m = layer.alg.alpha, layer.alg.m
-        th, tw = grid.tiles_h, grid.tiles_w
-        acc_tiles = gemm_result_to_tiles(
-            z_fp, b, grid, k, out=call.buf("acc_tiles", (b, k, th, tw, a, a), z_fp.dtype)
-        )
-        at = layer.alg.at
-        half = np.matmul(acc_tiles, at.T, out=call.buf("ohalf", (b, k, th, tw, a, m), np.float64))
-        y = np.matmul(at, half, out=call.buf("y", (b, k, th, tw, m, m), np.float64))
-        return engine._detach(assemble_output(grid, y), call.arena)
-
-    @staticmethod
-    def _apply_epilogue(call: FusedCall, out: np.ndarray) -> np.ndarray:
-        """Fused bias + ReLU, in place on the per-call output (bitwise
-        ``np.maximum(out + bias, 0.0)``)."""
-        if call.bias is None and not call.relu:
-            return out
-        if call.bias is not None:
-            out += call.bias[None, :, None, None]
-        if call.relu:
-            np.maximum(out, 0.0, out=out)
-        call.lap("epilogue")
-        return out
-
-    @staticmethod
-    def _wrap_divide(call: FusedCall, z: np.ndarray, denom) -> np.ndarray:
-        """Dequantizing divide with the reference's INT32 wrap semantics.
-
-        When the plan proves the accumulators fit INT32 (``z_wrap_free``)
-        the ``f64 -> int64 -> int32 -> f64`` round-trip is the identity
-        and the divide runs in place on the accumulator.  Otherwise the
-        wrap is applied through scratch-resident integer buffers.
-        """
-        if call.plan.meta.get("z_wrap_free", False):
-            return np.divide(z, denom, out=z)
-        z_i64 = call.buf("z_i64", z.shape, np.int64)
-        np.copyto(z_i64, z, casting="unsafe")
-        z_i32 = call.buf("z_i32", z.shape, np.int32)
-        np.copyto(z_i32, z_i64, casting="unsafe")
-        return np.divide(z_i32, denom, out=z)
-
-    # -- lowino (Winograd-domain quantization, Fig. 3) ------------------
-    # Stage order: input_transform -> quantize -> gemm -> output_transform.
-    def _itq_lowino(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        b, c = images.shape[0], images.shape[1]
-        geom = engine._geometry(
-            plan, images, (images.shape[2] + 2 * layer.padding, images.shape[3] + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._pad_into_scratch(call, images, layer.padding)
-        a = layer.alg.alpha
-        th, tw = geom.grid.tiles_h, geom.grid.tiles_w
-        tile_shape = (b, c, th, tw, a, a)
-        tiles, grid = prepare_input_tiles(
-            layer.alg, x, out=call.buf("tiles", tile_shape, np.float64)
-        )
-        call.grid = grid
-        # Fused V = B^T d B: two matmuls through a leased half-product
-        # buffer (transform_2d allocated the half fresh per call).
-        bt = layer.alg.bt
-        half = np.matmul(tiles, bt.T, out=call.buf("half", tile_shape, np.float64))
-        v_tiles = np.matmul(bt, half, out=tiles)  # reuse the tiles buffer
-        v = tiles_to_gemm_operand(
-            v_tiles, out=call.buf("v", (a * a, b * th * tw, c), np.float64)
-        )  # (T, N, C)
-        call.lap("input_transform")
-        if layer.input_params is not None:
-            in_params = layer.input_params
-        else:
-            from ..quant import per_position_minmax_params
-
-            in_params = per_position_minmax_params(v, position_axis=0, bits=layer.bits)
-        call.in_params = in_params
-        call.gemm_dtype = np.float32 if "u_f32" in plan.operands else np.float64
-        # Fused quantize + +128 bias + GEMM-dtype cast: the reference's
-        # int8 codes plus 128 are integers in [0, 255], exact in either
-        # float dtype, so skipping the int8 materialization changes no
-        # bits (same rint/clip on the same products).
-        np.multiply(v, in_params.scale, out=v)
-        np.rint(v, out=v)
-        np.clip(v, in_params.qmin, in_params.qmax, out=v)
-        v += 128.0
-        if call.gemm_dtype == np.float64:
-            call.operand = v
-        else:
-            vbar = call.buf("vbar", v.shape, np.float32)
-            np.copyto(vbar, v, casting="unsafe")
-            call.operand = vbar
-        call.lap("quantize")
-
-    def _gemm_lowino(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        if call.gemm_dtype == np.float32:
-            u_op, zbar_op = plan.operands["u_f32"], plan.operands["zbar_f32"]
-        else:
-            u_op, zbar_op = plan.operands["u_f64"], plan.operands["zbar_f64"]
-        t, n, _ = call.operand.shape
-        k = plan.layer.filters_fp32.shape[0]
-        z = np.matmul(call.operand, u_op, out=call.buf("z", (t, n, k), call.gemm_dtype))
-        z += zbar_op[:, None, :]
-        call.z = z
-        call.lap("gemm")
-
-    def _deq_lowino(self, engine, call: FusedCall) -> np.ndarray:
-        layer = call.plan.layer
-        k = layer.filters_fp32.shape[0]
-        a = layer.alg.alpha
-        t = a * a
-        # Scatter the (still exact-integer) accumulators into tile layout
-        # *before* de-quantizing: the narrow dtype halves the strided copy.
-        b = call.images.shape[0]
-        grid = call.grid
-        th, tw = grid.tiles_h, grid.tiles_w
-        acc_z = gemm_result_to_tiles(
-            call.z, b, grid, k, out=call.buf("acc_z", (b, k, th, tw, a, a), call.gemm_dtype)
-        )
-        denom = np.broadcast_to(call.in_params.scale * layer.filter_params.scale, (t, 1, k))
-        denom_tiles = denom[:, 0, :].T.reshape(k, a, a)[None, :, None, None, :, :]
-        acc_tiles = np.divide(
-            acc_z, denom_tiles, out=call.buf("acc_tiles", (b, k, th, tw, a, a), np.float64)
-        )
-        at = layer.alg.at
-        m = layer.alg.m
-        half = np.matmul(acc_tiles, at.T, out=call.buf("ohalf", (b, k, th, tw, a, m), np.float64))
-        y = np.matmul(at, half, out=call.buf("y", (b, k, th, tw, m, m), np.float64))
-        out = engine._detach(assemble_output(grid, y), call.arena)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
-
-    # -- int8_upcast (spatial quantization, INT16 multiply, Fig. 2a) ----
-    # Stage order: quantize -> input_transform -> gemm -> output_transform.
-    def _itq_int8_upcast(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        h, w = images.shape[2], images.shape[3]
-        in_params = _spatial_in_params(layer)
-        if in_params is None:
-            in_params = spatial_params_from_tensor(images, bits=layer.bits)
-        call.in_params = in_params
-        geom = engine._geometry(
-            plan, images, (h + 2 * layer.padding, w + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._quantize_padded(call, in_params)
-        call.lap("quantize")
-        v, grid = self._int_input_transform(call, x)
-        meta = plan.meta
-        if not meta.get("v16_ok", False):
-            # The plan-time bound cannot rule out INT16 overflow for this
-            # transform; fall back to the reference's runtime reduction.
-            max_v = int(np.abs(v).max()) if v.size else 0
-            if max_v > _INT16_MAX:
-                raise OverflowError(f"transformed inputs overflow INT16 (max {max_v})")
-        a = layer.alg.alpha
-        b, c = images.shape[0], images.shape[1]
-        call.operand = tiles_to_gemm_operand(
-            v, out=call.buf("v", (a * a, b * grid.tiles_h * grid.tiles_w, c), np.float64)
-        )  # (T, N, C), int16-valued float64
-        call.lap("input_transform")
-
-    def _gemm_int8_upcast(self, engine, call: FusedCall) -> None:
-        t, n, _ = call.operand.shape
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = np.matmul(
-            call.operand, call.plan.operands["u_f64"], out=call.buf("z", (t, n, k), np.float64)
-        )
-        call.lap("gemm")
-
-    def _deq_int8_upcast(self, engine, call: FusedCall) -> np.ndarray:
-        layer = call.plan.layer
-        k = layer.filters_fp32.shape[0]
-        denom = (
-            call.in_params.scale
-            * layer.weight_params.scale.reshape(1, 1, k)
-            * (layer.bt_lcm**2)
-            * layer.filter_scale
-        )
-        z_fp = self._wrap_divide(call, call.z, denom)
-        out = self._winograd_z_to_output(engine, call, z_fp)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
-
-    # -- int8_downscale (spatial quantization, INT8 multiply, Fig. 2b) --
-    # Stage order: quantize -> input_transform -> gemm -> output_transform.
-    def _itq_int8_downscale(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        h, w = images.shape[2], images.shape[3]
-        in_params = _spatial_in_params(layer)
-        if in_params is None:
-            in_params = spatial_params_from_tensor(images, bits=layer.bits)
-        call.in_params = in_params
-        geom = engine._geometry(
-            plan, images, (h + 2 * layer.padding, w + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._quantize_padded(call, in_params)
-        call.lap("quantize")
-        v, grid = self._int_input_transform(call, x)
-        # Down-scale + round, the lossy step of Figure 2b -- the same
-        # rint/clip as the reference's saturate_cast(..., int8), minus
-        # the int8 materialization (the codes are exact in float64).
-        scale = layer.input_downscale / (layer.bt_lcm**2)
-        np.multiply(v, scale, out=v)
-        np.rint(v, out=v)
-        np.clip(v, _INT8_MIN, _INT8_MAX, out=v)
-        a = layer.alg.alpha
-        b, c = images.shape[0], images.shape[1]
-        call.operand = tiles_to_gemm_operand(
-            v, out=call.buf("v", (a * a, b * grid.tiles_h * grid.tiles_w, c), np.float64)
-        )
-        call.lap("input_transform")
-
-    def _gemm_int8_downscale(self, engine, call: FusedCall) -> None:
-        t, n, _ = call.operand.shape
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = np.matmul(
-            call.operand, call.plan.operands["u_f64"], out=call.buf("z", (t, n, k), np.float64)
-        )
-        call.lap("gemm")
-
-    def _deq_int8_downscale(self, engine, call: FusedCall) -> np.ndarray:
-        layer = call.plan.layer
-        k = layer.filters_fp32.shape[0]
-        denom = (
-            call.in_params.scale
-            * layer.input_downscale
-            * layer.weight_params.scale.reshape(1, 1, k)
-            * layer.filter_downscale
-        )
-        z_fp = self._wrap_divide(call, call.z, denom)
-        out = self._winograd_z_to_output(engine, call, z_fp)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
-
-    # -- int8_direct (im2col lowering) ----------------------------------
-    # Stage order: quantize -> input_transform (im2col) -> gemm ->
-    # output_transform (dequant + NCHW restore).
-    def _itq_int8_direct(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        b, c, h, w = images.shape
-        r = layer.filters_fp32.shape[2]
-        in_params = _spatial_in_params(layer)
-        if in_params is None:
-            in_params = spatial_params_from_tensor(images, bits=layer.bits)
-        call.in_params = in_params
-        geom = engine._geometry(
-            plan, images, (h + 2 * layer.padding, w + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._quantize_padded(call, in_params)
-        call.lap("quantize")
-        oh, ow = conv_output_shape(h, w, r, stride=layer.stride, padding=layer.padding)
-        call.oh, call.ow = oh, ow
-        call.operand = im2col(
-            x,
-            r,
-            stride=layer.stride,
-            out=call.buf("cols", (b * oh * ow, c * r * r), np.float64),
-        )
-        call.lap("input_transform")
-
-    def _gemm_int8_direct(self, engine, call: FusedCall) -> None:
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = np.matmul(
-            call.operand,
-            call.plan.operands["w_f64"].T,
-            out=call.buf("z", (call.operand.shape[0], k), np.float64),
-        )
-        call.lap("gemm")
-
-    def _deq_int8_direct(self, engine, call: FusedCall) -> np.ndarray:
-        layer = call.plan.layer
-        k = layer.filters_fp32.shape[0]
-        b = call.images.shape[0]
-        denom = call.in_params.scale * layer.weight_params.scale.reshape(1, k)
-        z_fp = self._wrap_divide(call, call.z, denom)
-        # Copy out of the lease *preserving the reference's memory order*:
-        # the eager layer returns an NHWC-backed transposed view, and
-        # downstream reductions (pooling means) sum in layout order, so a
-        # C-contiguous output here would change their rounding.  A fresh
-        # NHWC array viewed as NCHW has exactly the eager strides.
-        out_nhwc = np.empty((b, call.oh, call.ow, k), dtype=np.float64)
-        np.copyto(out_nhwc, z_fp.reshape(b, call.oh, call.ow, k))
-        out = out_nhwc.transpose(0, 3, 1, 2)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
-
-    # -- fp32_winograd (full-precision baseline, Eq. 1) -----------------
-    # Stage order: input_transform -> gemm -> output_transform.  No
-    # quantize stage; the kernels replay Fp32WinogradConv2d.__call__'s
-    # exact op sequence (pad, B^T d B through a half buffer, the (T,N,C)
-    # scatter, the batched float GEMM against the precomputed U, and the
-    # A^T Z A assembly) with every intermediate in leased scratch --
-    # ``matmul(..., out=)`` into a C-contiguous buffer issues the same
-    # BLAS call as a fresh allocation, so the floats match bitwise.
-    def _itq_fp32_winograd(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        b, c = images.shape[0], images.shape[1]
-        geom = engine._geometry(
-            plan, images, (images.shape[2] + 2 * layer.padding, images.shape[3] + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._pad_into_scratch(call, images, layer.padding)
-        a = layer.alg.alpha
-        th, tw = geom.grid.tiles_h, geom.grid.tiles_w
-        tile_shape = (b, c, th, tw, a, a)
-        tiles, grid = prepare_input_tiles(
-            layer.alg, x, out=call.buf("tiles", tile_shape, np.float64)
-        )
-        call.grid = grid
-        bt = layer.alg.bt
-        half = np.matmul(tiles, bt.T, out=call.buf("half", tile_shape, np.float64))
-        v_tiles = np.matmul(bt, half, out=tiles)  # reuse the tiles buffer
-        call.operand = tiles_to_gemm_operand(
-            v_tiles, out=call.buf("v", (a * a, b * th * tw, c), np.float64)
-        )  # (T, N, C)
-        call.lap("input_transform")
-
-    def _gemm_fp32_winograd(self, engine, call: FusedCall) -> None:
-        t, n, _ = call.operand.shape
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = np.matmul(
-            call.operand, call.plan.operands["u_f64"], out=call.buf("z", (t, n, k), np.float64)
-        )
-        call.lap("gemm")
-
-    def _deq_fp32_winograd(self, engine, call: FusedCall) -> np.ndarray:
-        out = self._winograd_z_to_output(engine, call, call.z)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
-
-    # -- fp32_direct (full-precision im2col baseline) -------------------
-    # Stage order: input_transform (pad + im2col) -> gemm -> NHWC
-    # restore.  Mirrors Fp32DirectConv2d.__call__ exactly, including the
-    # conv_output_shape-on-unpadded-dims / im2col-on-padded-input
-    # contract and the NHWC-backed output memory order (downstream
-    # layout-sensitive reductions sum in layout order).
-    def _itq_fp32_direct(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        layer = plan.layer
-        images = call.images
-        b, c, h, w = images.shape
-        r = layer.filters_fp32.shape[2]
-        geom = engine._geometry(
-            plan, images, (h + 2 * layer.padding, w + 2 * layer.padding)
-        )
-        engine._lease(call, geom)
-        x = self._pad_into_scratch(call, images, layer.padding)
-        oh, ow = conv_output_shape(h, w, r, stride=layer.stride, padding=layer.padding)
-        call.oh, call.ow = oh, ow
-        call.operand = im2col(
-            x,
-            r,
-            stride=layer.stride,
-            out=call.buf("cols", (b * oh * ow, c * r * r), np.float64),
-        )
-        call.lap("input_transform")
-
-    def _gemm_fp32_direct(self, engine, call: FusedCall) -> None:
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = np.matmul(
-            call.operand,
-            call.plan.operands["w_f64"].T,
-            out=call.buf("z", (call.operand.shape[0], k), np.float64),
-        )
-        call.lap("gemm")
-
-    def _deq_fp32_direct(self, engine, call: FusedCall) -> np.ndarray:
-        k = call.plan.layer.filters_fp32.shape[0]
-        b = call.images.shape[0]
-        out_nhwc = np.empty((b, call.oh, call.ow, k), dtype=np.float64)
-        np.copyto(out_nhwc, call.z.reshape(b, call.oh, call.ow, k))
-        out = out_nhwc.transpose(0, 3, 1, 2)
-        call.lap("output_transform")
-        return self._apply_epilogue(call, out)
+    def gemm(self, plan, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(a, b, out=out)
 
 
 class ThreadedBlasBackend(NumpyKernelBackend):
-    """Fused kernels with the GEMM batch partitioned over the WorkerPool.
+    """GEMM partitioned over the process-wide worker pool.
 
-    Inherits every transform/quantize/dequantize kernel from the NumPy
-    backend and overrides only the GEMM stage: the (T, N, C) batched
-    matmul is split along the leading tile-position axis (the row axis
-    for the im2col path) into contiguous ranges executed by the
-    process-wide drain-aware :class:`~repro.runtime.pool.WorkerPool`.
-    NumPy releases the GIL inside BLAS, so partitions genuinely overlap.
-
-    Bit-identity: every partitioned GEMM contracts exact-integer float
-    operands, so partial sums are exact regardless of the blocking /
-    summation order the partitioning induces -- outputs are bitwise
-    equal to the serial backend's (asserted by the equivalence suite).
+    When the plan records ``meta["gemm_partition_safe"]`` the leading
+    axis (tile position T of the batched Winograd GEMM, output row of
+    the im2col GEMM) is split into contiguous ranges executed by the
+    drain-aware :class:`~repro.runtime.pool.WorkerPool`.  NumPy releases
+    the GIL inside BLAS, so partitions genuinely overlap.  Outputs are
+    bitwise those of the serial backend (see the module notes).
     """
 
     name = "threaded"
@@ -683,92 +167,320 @@ class ThreadedBlasBackend(NumpyKernelBackend):
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers
 
-    def _pool(self):
-        from .pool import get_pool
-
-        return get_pool(self.workers)
-
-    def _partitioned_matmul(self, a_op, b_op, out, batched: bool) -> np.ndarray:
-        pool = self._pool()
-        tasks = a_op.shape[0]
-        omega = min(pool.workers, tasks) or 1
-        if batched:
-
-            def fn(start: int, stop: int) -> None:
-                np.matmul(a_op[start:stop], b_op[start:stop], out=out[start:stop])
-
-        else:
-
-            def fn(start: int, stop: int) -> None:
-                np.matmul(a_op[start:stop], b_op, out=out[start:stop])
-
-        pool.run_partitioned(fn, tasks, omega)
-        return out
-
-    def _gemm_lowino(self, engine, call: FusedCall) -> None:
-        plan = call.plan
-        if call.gemm_dtype == np.float32:
-            u_op, zbar_op = plan.operands["u_f32"], plan.operands["zbar_f32"]
-        else:
-            u_op, zbar_op = plan.operands["u_f64"], plan.operands["zbar_f64"]
-        vbar = call.operand
-        t, n, _ = vbar.shape
-        k = plan.layer.filters_fp32.shape[0]
-        z = call.buf("z", (t, n, k), call.gemm_dtype)
-        pool = self._pool()
-        omega = min(pool.workers, t) or 1
+    def gemm(self, plan, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not plan.meta["gemm_partition_safe"]:
+            return super().gemm(plan, a, b, out)
+        pool = get_pool(self.workers)
+        tasks = a.shape[0]
+        batched = b.ndim == 3
 
         def fn(start: int, stop: int) -> None:
-            np.matmul(vbar[start:stop], u_op[start:stop], out=z[start:stop])
-            z[start:stop] += zbar_op[start:stop, None, :]
+            np.matmul(a[start:stop], b[start:stop] if batched else b, out=out[start:stop])
 
-        pool.run_partitioned(fn, t, omega)
-        call.z = z
-        call.lap("gemm")
+        pool.run_partitioned(fn, tasks, min(pool.workers, tasks) or 1)
+        return out
 
-    def _gemm_int8_upcast(self, engine, call: FusedCall) -> None:
-        t, n, _ = call.operand.shape
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = self._partitioned_matmul(
-            call.operand,
-            call.plan.operands["u_f64"],
-            call.buf("z", (t, n, k), np.float64),
-            batched=True,
-        )
-        call.lap("gemm")
 
-    _gemm_int8_downscale = _gemm_int8_upcast
+# -- stage primitives --------------------------------------------------
+def _round_clip(x: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
+    """``clip(rint(x * scale), lo, hi)`` into ``out``: the reference's
+    integer codes, carried exactly in float (no int8 materialization)."""
+    np.multiply(x, scale, out=out)
+    np.rint(out, out=out)
+    return np.clip(out, lo, hi, out=out)
 
-    def _gemm_int8_direct(self, engine, call: FusedCall) -> None:
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = self._partitioned_matmul(
-            call.operand,
-            call.plan.operands["w_f64"].T,
-            call.buf("z", (call.operand.shape[0], k), np.float64),
-            batched=False,
-        )
-        call.lap("gemm")
 
-    def _gemm_fp32_winograd(self, engine, call: FusedCall) -> None:
-        # Float GEMM, but partition-safe: splitting the batched
-        # (T, N, C) @ (T, C, K) contraction along T changes which thread
-        # issues each per-slice dgemm, never the dgemm itself, so the
-        # non-associative float sums are still bitwise invariant.  The
-        # plan asserts this via meta["gemm_partition_safe"]; fp32_direct
-        # (a single 2D float GEMM, not partition-safe) deliberately has
-        # no override here and inherits the serial kernel.
-        if not call.plan.meta.get("gemm_partition_safe", False):
-            super()._gemm_fp32_winograd(engine, call)
-            return
-        t, n, _ = call.operand.shape
-        k = call.plan.layer.filters_fp32.shape[0]
-        call.z = self._partitioned_matmul(
-            call.operand,
-            call.plan.operands["u_f64"],
-            call.buf("z", (t, n, k), np.float64),
-            batched=True,
-        )
-        call.lap("gemm")
+def _spatial_params(layer, images: np.ndarray) -> QuantParams:
+    """Input quantization params of the spatial-domain algorithms."""
+    if layer.input_threshold is not None:
+        return QuantParams.from_threshold(layer.input_threshold, bits=layer.bits)
+    return spatial_params_from_tensor(images, bits=layer.bits)
+
+
+def _pad(
+    call: FusedCall, images: np.ndarray, padding: int, params: Optional[QuantParams] = None
+) -> np.ndarray:
+    """Zero-pad into leased scratch, quantizing on the way when ``params``
+    is given (replaces ``quantize -> int8; pad_images`` and the fresh
+    allocation of ``pad_images``; quantize(0) == 0 for the border).
+
+    Unquantized unpadded input is returned as is.
+    """
+    if padding == 0 and params is None:
+        return images
+    b, c, h, w = images.shape
+    p = padding
+    xp = call.buf("xpad", (b, c, h + 2 * p, w + 2 * p), np.float64)
+    if p:
+        xp[:, :, :p, :] = 0.0
+        xp[:, :, h + p :, :] = 0.0
+        xp[:, :, p : h + p, :p] = 0.0
+        xp[:, :, p : h + p, w + p :] = 0.0
+    xi = xp[:, :, p : h + p, p : w + p] if p else xp
+    if params is None:
+        np.copyto(xi, images)
+    else:
+        _round_clip(images, params.scale, params.qmin, params.qmax, out=xi)
+    return xp
+
+
+def _winograd_input(call: FusedCall, x: np.ndarray, grid, bt: np.ndarray) -> np.ndarray:
+    """Tiles + ``B^T d B`` + the ``(T, N, C)`` GEMM layout.
+
+    The two transform matmuls go through a leased half-product buffer
+    and the second lands back in the tiles buffer.  On the quantized
+    paths ``bt`` is the integer matrix as float64: same matmuls on the
+    same exact-integer values, so the results equal the reference's
+    int64 transform.
+    """
+    b, c = x.shape[0], x.shape[1]
+    a, th, tw = grid.alpha, grid.tiles_h, grid.tiles_w
+    tile_shape = (b, c, th, tw, a, a)
+    tiles = extract_tiles(grid, x, out=call.buf("tiles", tile_shape, np.float64))
+    half = np.matmul(tiles, bt.T, out=call.buf("half", tile_shape, np.float64))
+    np.matmul(bt, half, out=tiles)
+    return tiles_to_gemm_operand(tiles, out=call.buf("v", (a * a, b * th * tw, c), np.float64))
+
+
+def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
+    """im2col lowering of the padded input; returns ``(cols, oh, ow)``.
+
+    The output shape comes from the *unpadded* dims with the padding
+    argument, while im2col consumes the padded input -- the reference
+    layers' contract.
+    """
+    b, c, h, w = images.shape
+    r = layer.filters_fp32.shape[2]
+    oh, ow = conv_output_shape(h, w, r, stride=layer.stride, padding=layer.padding)
+    cols = call.buf("cols", (b * oh * ow, c * r * r), np.float64)
+    return im2col(x, r, stride=layer.stride, out=cols), oh, ow
+
+
+def _gemm(
+    backend: KernelBackend, call: FusedCall, plan, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``a @ b`` into the leased accumulator buffer, issued by ``backend``."""
+    return backend.gemm(plan, a, b, call.buf("z", a.shape[:-1] + b.shape[-1:], a.dtype))
+
+
+def _wrap_divide(call: FusedCall, plan, z: np.ndarray, denom) -> np.ndarray:
+    """Dequantizing divide with the reference's INT32 wrap semantics.
+
+    When the plan proves the accumulators fit INT32 (``z_wrap_free``)
+    the ``f64 -> int64 -> int32 -> f64`` round-trip is the identity and
+    the divide runs in place on the accumulator.  Otherwise the wrap is
+    applied through scratch-resident integer buffers.
+    """
+    if plan.meta["z_wrap_free"]:
+        return np.divide(z, denom, out=z)
+    z_i64 = call.buf("z_i64", z.shape, np.int64)
+    np.copyto(z_i64, z, casting="unsafe")
+    z_i32 = call.buf("z_i32", z.shape, np.int32)
+    np.copyto(z_i32, z_i64, casting="unsafe")
+    return np.divide(z_i32, denom, out=z)
+
+
+def _scatter(call: FusedCall, z: np.ndarray, batch: int, grid) -> np.ndarray:
+    """``(T, N, K)`` accumulators -> ``(B, K, th, tw, a, a)`` tiles, in
+    ``z``'s dtype."""
+    k, a = z.shape[2], grid.alpha
+    shape = (batch, k, grid.tiles_h, grid.tiles_w, a, a)
+    return gemm_result_to_tiles(z, batch, grid, k, out=call.buf("acc_z", shape, z.dtype))
+
+
+def _inverse_transform(call: FusedCall, acc: np.ndarray, grid, at: np.ndarray) -> np.ndarray:
+    """``A^T Z A`` + tile assembly, detached from the lease."""
+    b, k, th, tw, a, _ = acc.shape
+    m = grid.m
+    half = np.matmul(acc, at.T, out=call.buf("ohalf", (b, k, th, tw, a, m), np.float64))
+    y = np.matmul(at, half, out=call.buf("y", (b, k, th, tw, m, m), np.float64))
+    return call.detach(assemble_output(grid, y))
+
+
+def _nhwc_restore(z: np.ndarray, batch: int, oh: int, ow: int) -> np.ndarray:
+    """Copy the ``(B*oh*ow, K)`` result out of the lease *preserving the
+    reference's memory order*: the eager layers return an NHWC-backed
+    transposed view, and downstream reductions (pooling means) sum in
+    layout order, so a C-contiguous output would change their rounding.
+    """
+    out = np.empty((batch, oh, ow, z.shape[1]), dtype=np.float64)
+    np.copyto(out, z.reshape(out.shape))
+    return out.transpose(0, 3, 1, 2)
+
+
+def epilogue(
+    call: FusedCall, out: np.ndarray, bias: Optional[np.ndarray], relu: bool
+) -> np.ndarray:
+    """Fused bias + ReLU, in place on the per-call output (bitwise
+    ``np.maximum(out + bias, 0.0)``)."""
+    if bias is None and not relu:
+        return out
+    if bias is not None:
+        out += bias[None, :, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    call.lap("epilogue")
+    return out
+
+
+# -- pipelines ---------------------------------------------------------
+# Each takes (backend, call, plan, images, grid) -- ``grid`` is the
+# geometry's tile grid, None for the direct algorithms -- and returns the
+# output before the epilogue.
+def _lowino(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """Winograd-domain quantization (Fig. 3): input_transform ->
+    quantize -> gemm -> output_transform."""
+    layer = plan.layer
+    v = _winograd_input(call, _pad(call, images, layer.padding), grid, layer.alg.bt)
+    call.lap("input_transform")
+    params = layer.input_params
+    if params is None:
+        params = per_position_minmax_params(v, position_axis=0, bits=layer.bits)
+    # Quantize + the +128 bias + the GEMM-dtype cast: the reference's
+    # int8 codes plus 128 are integers in [0, 255], exact in either
+    # float dtype.
+    _round_clip(v, params.scale, params.qmin, params.qmax, out=v)
+    v += 128.0
+    if "u_f32" in plan.operands:
+        u, zbar = plan.operands["u_f32"], plan.operands["zbar_f32"]
+        vbar = call.buf("vbar", v.shape, np.float32)
+        np.copyto(vbar, v, casting="unsafe")
+        v = vbar
+    else:
+        u, zbar = plan.operands["u_f64"], plan.operands["zbar_f64"]
+    call.lap("quantize")
+    z = _gemm(backend, call, plan, v, u)
+    z += zbar[:, None, :]
+    call.lap("gemm")
+    # Scatter the (still exact-integer) accumulators into tile layout
+    # *before* de-quantizing: the narrow dtype halves the strided copy.
+    acc_z = _scatter(call, z, images.shape[0], grid)
+    t, _, k = z.shape
+    a = grid.alpha
+    denom = np.broadcast_to(params.scale * layer.filter_params.scale, (t, 1, k))
+    denom_tiles = denom[:, 0, :].T.reshape(k, a, a)[None, :, None, None, :, :]
+    acc = np.divide(acc_z, denom_tiles, out=call.buf("acc_tiles", acc_z.shape, np.float64))
+    out = _inverse_transform(call, acc, grid, layer.alg.at)
+    call.lap("output_transform")
+    return out
+
+
+def _int8_upcast(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """Spatial quantization with an INT16 multiply (Fig. 2a): quantize ->
+    input_transform -> gemm -> output_transform."""
+    layer = plan.layer
+    params = _spatial_params(layer, images)
+    x = _pad(call, images, layer.padding, params)
+    call.lap("quantize")
+    v = _winograd_input(call, x, grid, plan.operands["bt_f64"])  # int16-valued
+    if not plan.meta["v16_ok"]:
+        # The plan-time bound cannot rule out INT16 overflow for this
+        # transform; fall back to the reference's runtime reduction.
+        max_v = int(np.abs(v).max()) if v.size else 0
+        if max_v > _INT16_MAX:
+            raise OverflowError(f"transformed inputs overflow INT16 (max {max_v})")
+    call.lap("input_transform")
+    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    call.lap("gemm")
+    k = z.shape[2]
+    denom = (
+        params.scale
+        * layer.weight_params.scale.reshape(1, 1, k)
+        * (layer.bt_lcm**2)
+        * layer.filter_scale
+    )
+    z = _wrap_divide(call, plan, z, denom)
+    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    call.lap("output_transform")
+    return out
+
+
+def _int8_downscale(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """Spatial quantization with an INT8 multiply (Fig. 2b): quantize ->
+    input_transform -> gemm -> output_transform."""
+    layer = plan.layer
+    params = _spatial_params(layer, images)
+    x = _pad(call, images, layer.padding, params)
+    call.lap("quantize")
+    v = _winograd_input(call, x, grid, plan.operands["bt_f64"])
+    # Down-scale + round, the lossy step of Figure 2b -- the reference's
+    # saturate_cast(..., int8), elementwise on the same values.
+    _round_clip(v, layer.input_downscale / (layer.bt_lcm**2), _INT8_MIN, _INT8_MAX, out=v)
+    call.lap("input_transform")
+    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    call.lap("gemm")
+    k = z.shape[2]
+    denom = (
+        params.scale
+        * layer.input_downscale
+        * layer.weight_params.scale.reshape(1, 1, k)
+        * layer.filter_downscale
+    )
+    z = _wrap_divide(call, plan, z, denom)
+    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    call.lap("output_transform")
+    return out
+
+
+def _int8_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """im2col lowering: quantize -> input_transform (im2col) -> gemm ->
+    output_transform (dequant + NHWC restore)."""
+    layer = plan.layer
+    params = _spatial_params(layer, images)
+    x = _pad(call, images, layer.padding, params)
+    call.lap("quantize")
+    cols, oh, ow = _im2col(call, layer, x, images)
+    call.lap("input_transform")
+    z = _gemm(backend, call, plan, cols, plan.operands["w_f64"].T)
+    call.lap("gemm")
+    denom = params.scale * layer.weight_params.scale.reshape(1, z.shape[1])
+    out = _nhwc_restore(_wrap_divide(call, plan, z, denom), images.shape[0], oh, ow)
+    call.lap("output_transform")
+    return out
+
+
+def _fp32_winograd(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """Full-precision Winograd baseline (Eq. 1), replaying
+    ``Fp32WinogradConv2d.__call__``: input_transform -> gemm ->
+    output_transform."""
+    layer = plan.layer
+    v = _winograd_input(call, _pad(call, images, layer.padding), grid, layer.alg.bt)
+    call.lap("input_transform")
+    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    call.lap("gemm")
+    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    call.lap("output_transform")
+    return out
+
+
+def _fp32_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+    """Full-precision im2col baseline, replaying
+    ``Fp32DirectConv2d.__call__``: input_transform (pad + im2col) ->
+    gemm -> output_transform (NHWC restore)."""
+    layer = plan.layer
+    cols, oh, ow = _im2col(call, layer, _pad(call, images, layer.padding), images)
+    call.lap("input_transform")
+    z = _gemm(backend, call, plan, cols, plan.operands["w_f64"].T)
+    call.lap("gemm")
+    out = _nhwc_restore(z, images.shape[0], oh, ow)
+    call.lap("output_transform")
+    return out
+
+
+#: The fused pipeline of each algorithm the engine executes -- the four
+#: quantized pipelines plus the two FP32 baselines (whose offline state
+#: still lives on the layer objects; the pipelines replay the layers'
+#: exact op sequences against plan-cached operands).
+PIPELINES = {
+    "lowino": _lowino,
+    "int8_upcast": _int8_upcast,
+    "int8_downscale": _int8_downscale,
+    "int8_direct": _int8_direct,
+    "fp32_winograd": _fp32_winograd,
+    "fp32_direct": _fp32_direct,
+}
+
+FUSED_ALGORITHMS = tuple(PIPELINES)
 
 
 _BACKENDS = {

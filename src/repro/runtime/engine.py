@@ -10,15 +10,14 @@ loop anywhere.  The loop-based implementations stay available as
 :func:`repro.gemm.batched_gemm_reference`) for differential testing.
 
 All six algorithms -- the four quantized pipelines and the two FP32
-baselines -- run through *fused-stage kernel backends*
-(:mod:`repro.runtime.backends`): the engine resolves plan + geometry +
-scratch lease and then dispatches ``input_transform_quantize`` /
-``gemm_bias`` / ``dequant_output_transform_epilogue`` on the configured
-:class:`~repro.runtime.backends.KernelBackend`.  The default backend is
-pure NumPy; a threaded-BLAS backend partitions the GEMM batch across
-the :class:`~repro.runtime.pool.WorkerPool`.  All backends are bitwise
-identical to the reference layers (see the bit-identity notes in
-:mod:`repro.runtime.backends`).
+baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
+the engine looks up the plan's per-geometry state, leases a scratch
+arena, and runs the algorithm's pipeline, whose GEMM is issued by the
+configured :class:`~repro.runtime.backends.KernelBackend`.  The default
+backend is a serial ``np.matmul``; a threaded-BLAS backend partitions
+the GEMM across the :class:`~repro.runtime.pool.WorkerPool`.  All
+backends are bitwise identical to the reference layers (see the
+bit-identity notes in :mod:`repro.runtime.backends`).
 
 Exactness contract
 ------------------
@@ -44,12 +43,12 @@ in the same order, so the float outputs match bitwise as well.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Any, Optional
 
 import numpy as np
 
-from .backends import FUSED_ALGORITHMS, FusedCall, resolve_backend
+from ..winograd import tile_grid
+from .backends import FUSED_ALGORITHMS, PIPELINES, FusedCall, epilogue, resolve_backend
 from .cache import PlanCache, default_cache
 from .plan import ConvPlan, GeometryPlan, get_plan
 
@@ -71,13 +70,13 @@ class ExecutionEngine:
     grows to one arena per peak-concurrent caller and reports contention
     via its :class:`~repro.runtime.plan.LeaseStats`.
 
-    ``backend`` selects the fused-stage kernel backend for every
-    algorithm: ``None`` (the process default pure-NumPy backend), a
+    ``backend`` selects the backend that issues every pipeline's GEMM:
+    ``None`` (the process default pure-NumPy backend), a
     registered name (``"numpy"``, ``"threaded"``), or a
     :class:`~repro.runtime.backends.KernelBackend` instance.
 
     ``tracer`` (a :class:`~repro.obs.tracer.StageTracer`) lap-times the
-    fused kernels per stage -- input transform, quantize, GEMM, output
+    fused pipelines per stage -- input transform, quantize, GEMM, output
     transform, epilogue -- consecutive laps tiling each call exactly.
     With no tracer attached (or a disabled one) the hot path pays a
     single attribute check and no timing calls.
@@ -145,60 +144,26 @@ class ExecutionEngine:
         bias: Optional[np.ndarray],
         relu: bool,
     ) -> np.ndarray:
-        backend = self.backend
         tr = self._active_tracer()
-        call = FusedCall(plan, np.asarray(images, dtype=np.float64), bias, relu, tr)
-        if tr:
-            call.t_lap = time.perf_counter()
-        try:
-            backend.input_transform_quantize(self, call)
-            backend.gemm_bias(self, call)
-            return backend.dequant_output_transform_epilogue(self, call)
-        finally:
-            if call.arena is not None:
-                call.geom.scratch.release(call.arena)
+        images = np.asarray(images, dtype=np.float64)
+        t0 = time.perf_counter() if tr else 0.0
+        p = plan.layer.padding
+        padded_hw = (images.shape[2] + 2 * p, images.shape[3] + 2 * p)
 
-    def _geometry(self, plan: ConvPlan, images: np.ndarray, padded_hw) -> GeometryPlan:
         def build() -> GeometryPlan:
-            from ..winograd import tile_grid
-
             alg = getattr(plan.layer, "alg", None)
-            grid = tile_grid(alg, *padded_hw) if alg is not None else None
-            return GeometryPlan(grid=grid)
+            return GeometryPlan(grid=tile_grid(alg, *padded_hw) if alg is not None else None)
 
-        return plan.geometry(self.cache, images.shape, build)
-
-    def _lease(self, call: FusedCall, geom: GeometryPlan) -> None:
-        """Attach the geometry and (when enabled) a leased scratch arena
-        to a fused call; released by ``_run_fused``'s finally block."""
-        call.geom = geom
-        if self.use_scratch:
-            call.arena = geom.scratch.acquire()
-
-    @contextmanager
-    def _scratch(self, geom: GeometryPlan):
-        """Lease a private scratch arena for one call (None = disabled)."""
-        if not self.use_scratch:
-            yield None
-            return
-        arena = geom.scratch.acquire()
+        geom = plan.geometry(self.cache, images.shape, build)
+        arena = geom.scratch.acquire() if self.use_scratch else None
         try:
-            yield arena
+            call = FusedCall(arena, tr, t0)
+            out = PIPELINES[plan.algorithm](self.backend, call, plan, images, geom.grid)
+            return epilogue(call, out, bias, relu)
         finally:
-            geom.scratch.release(arena)
+            if arena is not None:
+                geom.scratch.release(arena)
 
-    @staticmethod
-    def _buf(arena, name: str, shape, dtype) -> Optional[np.ndarray]:
-        return arena.buf(name, tuple(shape), dtype) if arena is not None else None
-
-    @staticmethod
-    def _detach(out: np.ndarray, arena) -> np.ndarray:
-        """Copy ``out`` if it aliases leased scratch (edge geometries where
-        ``assemble_output`` returns a view); the lease ends with the call,
-        so escaping views would see the next caller's data."""
-        if arena is not None and arena.aliases(out):
-            return out.copy()
-        return out
 
 class RuntimeLayer:
     """A callable layer bound to an engine and a cached plan.

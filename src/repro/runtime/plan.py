@@ -414,7 +414,7 @@ def _abs_colsum_max(matrix: np.ndarray, axis: int) -> int:
 
 
 def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
-    """Plan-time analytic integer bounds for the fused kernels.
+    """Plan-time analytic facts for the fused pipelines.
 
     All quantized operands are known at plan time, so worst-case
     magnitudes of the online intermediates follow from Hölder's
@@ -429,9 +429,19 @@ def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
       channel-wise absolute column sum of the quantized filter operand.
       When it stays within INT32 (``z_wrap_free``), the reference's
       wrap-on-overflow ``astype(np.int32)`` is the identity and the
-      fused kernels divide the float64 accumulators directly.
+      fused pipelines divide the float64 accumulators directly.
+    - ``gemm_partition_safe``: whether the GEMM may be split along its
+      leading axis without moving a bit.  Every quantized GEMM is
+      integer-exact in float, so any summation order gives the same
+      result.  The FP32 baselines carry genuinely inexact float
+      accumulations (``float_gemm``).  The fp32_winograd GEMM is a
+      batched (T, N, C) @ (T, C, K) contraction -- splitting along T
+      reassigns whole per-slice dgemms (same operands, dims, strides per
+      slice), so the float results are partition-invariant.  The
+      fp32_direct GEMM is one 2D matmul whose row-split could change
+      BLAS blocking, hence summation order: never partitioned.
     """
-    meta: Dict[str, Any] = {}
+    meta: Dict[str, Any] = {"gemm_partition_safe": algorithm != "fp32_direct"}
     int16_max = int(np.iinfo(np.int16).max)
     int32_max = int(np.iinfo(np.int32).max)
     qabs = 1 << (getattr(layer, "bits", 8) - 1)
@@ -455,17 +465,7 @@ def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
         meta["z_bound"] = qabs * w_col
         meta["z_wrap_free"] = meta["z_bound"] <= int32_max
     elif algorithm in ("fp32_winograd", "fp32_direct"):
-        # The FP32 baselines carry genuinely inexact float accumulations,
-        # so no integer bound applies; what the backends need to know is
-        # whether the GEMM may be *partitioned* without moving a bit.
-        # The fp32_winograd GEMM is a batched (T, N, C) @ (T, C, K)
-        # contraction -- splitting along T reassigns whole per-slice
-        # dgemms (same operands, dims, strides per slice), so the float
-        # results are partition-invariant.  The fp32_direct GEMM is one
-        # 2D matmul whose row-split could change BLAS blocking, hence
-        # summation order: never partitioned.
         meta["float_gemm"] = True
-        meta["gemm_partition_safe"] = algorithm == "fp32_winograd"
     return meta
 
 

@@ -1,16 +1,13 @@
 """Persistent worker pool for statically scheduled stages.
 
-The seed executed every parallel stage as a fork-join: a fresh
-``ThreadPoolExecutor`` per :func:`repro.parallel.run_partitioned` call,
-torn down when the stage finished.  On the paper's hardware the thread
-team lives for the whole inference run (Section 4.4: tasks are assigned
-to threads at plan-construction time), so per-stage thread creation is
-pure overhead the model never charges.  :class:`WorkerPool` keeps the
-threads alive across calls: work arrives as the contiguous
+On the paper's hardware the thread team lives for the whole inference
+run (Section 4.4: tasks are assigned to threads at plan-construction
+time), so a parallel stage pays no thread creation.  :class:`WorkerPool`
+keeps its threads alive across calls: work arrives as the contiguous
 :class:`~repro.parallel.scheduler.Partition` ranges of a
 :class:`~repro.parallel.scheduler.StaticSchedule`, each worker executes
-its range, and a latch releases the caller -- same decomposition and
-execution order as the fork-join path, without the spawn cost.
+its range, and a latch releases the caller -- a fork-join over the
+static schedule's decomposition, without a per-stage spawn.
 
 Concurrency contract
 --------------------
@@ -79,10 +76,9 @@ class _Latch:
 class WorkerPool:
     """Long-lived threads executing contiguous partition ranges.
 
-    ``run_partitioned(fn, tasks, omega)`` has the exact semantics of
-    :func:`repro.parallel.run_partitioned` -- ``fn(start, stop)`` once
-    per partition of the static schedule, disjoint and in thread order --
-    but reuses the same worker threads call after call.
+    ``run_partitioned(fn, tasks, omega)`` calls ``fn(start, stop)`` once
+    per partition of the static schedule -- disjoint, in thread order --
+    and joins, reusing the same worker threads call after call.
     """
 
     def __init__(self, workers: int) -> None:
@@ -131,9 +127,9 @@ class WorkerPool:
         """Execute ``fn`` over the static schedule's partitions and join.
 
         Serial (``omega == 1`` or a closed pool) runs inline on the
-        caller's thread, like the fork-join path did.  Calls from inside
-        one of the pool's own workers also run inline: nested dispatch
-        would wait on workers that are, by definition, busy.
+        caller's thread.  Calls from inside one of the pool's own
+        workers also run inline: nested dispatch would wait on workers
+        that are, by definition, busy.
         """
         schedule = StaticSchedule.for_tasks(tasks, omega)
         schedule.validate()

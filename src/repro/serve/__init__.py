@@ -45,7 +45,7 @@ Quick use::
 
 from .batching import InferenceFuture, Request, RequestQueue, ServerClosed, ServerOverloaded
 from .loadgen import LoadBenchConfig, ReplayResult, replay, run_load_bench
-from .procs import RemoteExecutionError, SlabRing, WorkerError, WorkerPool
+from .procs import ProcPool, RemoteExecutionError, SlabRing, WorkerError
 from .router import ProcServer, RemoteSession
 from .server import ServedModel, Server
 from .stats import LatencyStats, ModelStats
@@ -72,6 +72,7 @@ __all__ = [
     "ModelStats",
     "ModelWorkload",
     "PoissonArrivals",
+    "ProcPool",
     "ProcServer",
     "RemoteExecutionError",
     "RemoteSession",
@@ -87,7 +88,6 @@ __all__ = [
     "TraceEvent",
     "UniformArrivals",
     "WorkerError",
-    "WorkerPool",
     "ZipfSizes",
     "build_trace",
     "replay",

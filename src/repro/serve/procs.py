@@ -17,7 +17,7 @@ process tier (:class:`~repro.serve.router.ProcServer`) is built from:
   (LoWino's offline/online split at process granularity: prepare once
   per worker, serve many), a duplex control pipe, and a private slab
   ring.
-* :class:`WorkerPool` -- N workers behind a free-list, with health
+* :class:`ProcPool` -- N workers behind a free-list, with health
   checks and restart-on-crash: a dead or wedged worker is terminated,
   respawned, and re-deployed with every model; its in-flight batch
   fails over to another live worker (the request bytes still live in
@@ -54,10 +54,10 @@ except ImportError:  # pragma: no cover - non-standard build
 
 __all__ = [
     "DEFAULT_SLOT_BYTES",
+    "ProcPool",
     "RemoteExecutionError",
     "SlabRing",
     "WorkerError",
-    "WorkerPool",
     "WorkerProcess",
 ]
 
@@ -438,7 +438,7 @@ class WorkerProcess:
             self.proc.terminate()
 
 
-class WorkerPool:
+class ProcPool:
     """N worker processes behind depth-weighted checkout, with
     restart-on-crash.
 
@@ -782,7 +782,7 @@ class WorkerPool:
         for worker in workers:
             worker.stop(timeout=timeout)
 
-    def __enter__(self) -> "WorkerPool":
+    def __enter__(self) -> "ProcPool":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -7,7 +7,7 @@ dynamic micro-batching, per-model stats and metrics export -- and swaps
 the execution layer: instead of a shared in-process
 :class:`~repro.runtime.session.InferenceSession`, each coalesced batch
 is shipped to one of N worker *processes*
-(:class:`~repro.serve.procs.WorkerPool`), sidestepping the GIL ceiling
+(:class:`~repro.serve.procs.ProcPool`), sidestepping the GIL ceiling
 that caps the thread tier no matter how fast one fused step is.
 
 The seam is :class:`RemoteSession`: it duck-types the session surface
@@ -44,7 +44,7 @@ import numpy as np
 from ..nn.layers import Layer
 from ..obs.metrics import MetricsRegistry
 from .batching import ServerOverloaded
-from .procs import WorkerPool
+from .procs import ProcPool
 from .server import Server
 
 __all__ = ["ProcServer", "RemoteSession"]
@@ -61,7 +61,7 @@ class RemoteSession:
     """
 
     def __init__(
-        self, name: str, pool: WorkerPool, input_shape: Tuple[int, ...]
+        self, name: str, pool: ProcPool, input_shape: Tuple[int, ...]
     ) -> None:
         self.name = name
         self.input_shape = tuple(input_shape)
@@ -142,7 +142,7 @@ class ProcServer(Server):
             background_tuner=False,
         )
         self.procs = procs
-        self._pool = WorkerPool(
+        self._pool = ProcPool(
             procs,
             mp_context=mp_context,
             backend=backend,

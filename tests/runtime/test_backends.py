@@ -1,12 +1,13 @@
-"""Fused-stage kernel backends: the bitwise contract, on every backend.
+"""Fused pipelines and GEMM backends: the bitwise contract, on every backend.
 
-The backend layer (``repro.runtime.backends``) collapses the quantized
-algorithms' per-stage hot path into three fused entry points.  Its
-contract is that *every* registered backend -- the pure-NumPy default
+``repro.runtime.backends`` runs each algorithm as one pipeline composed
+from shared stage primitives; the backend only issues the GEMM.  The
+contract is that *every* registered backend -- the serial NumPy default
 and the worker-pool threaded-BLAS variant -- produces bit-for-bit the
 output of the reference layers, for every fused algorithm, on every
 edge geometry, under concurrency, with or without the plan-time bound
-shortcuts (`v16_ok` / `z_wrap_free`) engaged.
+shortcuts (`v16_ok` / `z_wrap_free`) engaged, and that every pipeline
+laps the stage tracer at the same boundaries.
 """
 
 import threading
@@ -28,6 +29,7 @@ from repro.runtime.backends import (
     resolve_backend,
 )
 from repro.runtime.bench import ModelCase, build_case_model
+from repro.runtime.pool import get_pool
 
 BACKENDS = sorted(available_backends())
 EDGE_CONFIGS = enumerate_edge_configs()
@@ -236,6 +238,81 @@ class TestPlanMetaBounds:
         layer.plan.meta["gemm_partition_safe"] = False
         np.testing.assert_array_equal(layer(x), fast)
         np.testing.assert_array_equal(layer(x), layer.reference(x))
+
+
+class _LapRecorder:
+    """Tracer stand-in that records the stage name of every lap."""
+
+    enabled = True
+
+    def __init__(self):
+        self.laps = []
+
+    def lap(self, stage, t0):
+        self.laps.append(stage)
+        return t0
+
+
+#: Stage laps of one fused call, per algorithm.  The per-layer
+#: ``runtime.backends.<algorithm>.<stage>_ms`` metrics and the stage
+#: share gates are keyed by these names.
+EXPECTED_LAPS = {
+    "lowino": ["input_transform", "quantize", "gemm", "output_transform"],
+    "int8_upcast": ["quantize", "input_transform", "gemm", "output_transform"],
+    "int8_downscale": ["quantize", "input_transform", "gemm", "output_transform"],
+    "int8_direct": ["quantize", "input_transform", "gemm", "output_transform"],
+    "fp32_winograd": ["input_transform", "gemm", "output_transform"],
+    "fp32_direct": ["input_transform", "gemm", "output_transform"],
+}
+
+
+class TestStageLaps:
+    @pytest.mark.parametrize("bias,relu", [(False, False), (True, False), (False, True)],
+                             ids=["plain", "bias", "relu"])
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    def test_lap_sequence(self, algorithm, bias, relu, rng):
+        config = EDGE_CONFIGS[-1]
+        x, w = make_inputs(config)
+        tracer = _LapRecorder()
+        engine = ExecutionEngine(cache=PlanCache(capacity=8), tracer=tracer)
+        plan = engine.plan_for(w, algorithm, m=config.m, padding=config.padding)
+        engine.execute(plan, x, bias=rng.standard_normal(w.shape[0]) if bias else None,
+                       relu=relu)
+        epilogue = ["epilogue"] if bias or relu else []
+        assert tracer.laps == EXPECTED_LAPS[algorithm] + epilogue
+
+
+class TestThreadedPartitioning:
+    """The threaded backend really dispatches its GEMM to the pool."""
+
+    def _layer(self, algorithm):
+        config = EDGE_CONFIGS[-1]
+        x, w = make_inputs(config)
+        layer = _engine(ThreadedBlasBackend(workers=2)).layer(
+            w, algorithm, m=config.m, padding=config.padding)
+        return layer, x
+
+    @staticmethod
+    def _stages_run_by(fn):
+        pool = get_pool(2)
+        before = pool.stages_run
+        out = fn()
+        return pool.stages_run - before, out
+
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    def test_gemm_is_partitioned(self, algorithm):
+        layer, x = self._layer(algorithm)
+        stages, _ = self._stages_run_by(lambda: layer(x))
+        assert stages == (0 if algorithm == "fp32_direct" else 1)
+
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    def test_partition_unsafe_plan_runs_serial(self, algorithm):
+        layer, x = self._layer(algorithm)
+        partitioned = layer(x).copy()
+        layer.plan.meta["gemm_partition_safe"] = False
+        stages, serial = self._stages_run_by(lambda: layer(x))
+        assert stages == 0
+        assert serial.tobytes() == partitioned.tobytes()
 
 
 class TestScratchRouting:

@@ -35,7 +35,7 @@ class TestRunPartitioned:
         assert np.all(hits == 1)
 
     def test_matches_static_schedule_partitions(self, pool):
-        """The pool dispatches exactly the fork-join path's ranges."""
+        """The pool dispatches exactly the static schedule's ranges."""
         seen = []
         lock = threading.Lock()
 

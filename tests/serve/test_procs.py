@@ -20,7 +20,7 @@ from repro.serve import (
     ServerOverloaded,
     SlabRing,
 )
-from repro.serve.procs import WorkerPool, decode_array, encode_array
+from repro.serve.procs import ProcPool, decode_array, encode_array
 
 pytestmark = pytest.mark.concurrency
 
@@ -179,9 +179,9 @@ class _FakeWorker:
 
 
 def _bare_pool(n):
-    """A WorkerPool skeleton with fake workers: exercises the checkout
+    """A ProcPool skeleton with fake workers: exercises the checkout
     bookkeeping without paying n process spawns."""
-    pool = WorkerPool.__new__(WorkerPool)
+    pool = ProcPool.__new__(ProcPool)
     pool.procs = n
     pool.run_timeout_s = 1.0
     pool._lock = threading.Lock()
