@@ -13,7 +13,8 @@ quantized.  Two observers are provided:
 Observers accept repeated :meth:`observe` calls (one per calibration
 batch) and merge statistics exactly: the histogram range grows by
 power-of-two doubling, under which existing bins merge without loss of
-resolution alignment.
+resolution alignment.  A batch holding NaN or inf raises ``ValueError``
+and leaves the observer as it was.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["MinMaxObserver", "HistogramObserver"]
+
+
+def _finite_max(mags: np.ndarray) -> float:
+    """``mags.max()``, refusing a batch that holds NaN or inf.
+
+    The max propagates NaN and inf, so one check covers every element.
+    Observers call this before touching their state: a non-finite value
+    would otherwise corrupt it silently (NaN ranges bin everything into
+    bin 0 or drop samples; inf doubles the range without end).
+    """
+    batch_max = float(np.max(mags))
+    if not np.isfinite(batch_max):
+        raise ValueError(f"calibration batch is not finite (max |x| = {batch_max})")
+    return batch_max
 
 
 class MinMaxObserver:
@@ -34,7 +49,7 @@ class MinMaxObserver:
         x = np.asarray(x)
         if x.size == 0:
             return
-        self.max_abs = max(self.max_abs, float(np.max(np.abs(x))))
+        self.max_abs = max(self.max_abs, _finite_max(np.abs(x)))
         self.count += x.size
 
     def threshold(self) -> float:
@@ -82,7 +97,7 @@ class HistogramObserver:
         mags = np.abs(np.asarray(x, dtype=np.float64)).ravel()
         if mags.size == 0:
             return
-        batch_max = float(mags.max())
+        batch_max = _finite_max(mags)
         if batch_max > 0:
             # nextafter keeps the max sample strictly inside the top bin.
             self._grow_range(np.nextafter(batch_max, np.inf))

@@ -77,7 +77,12 @@ class WinogradDomainCalibrator:
     positions: int
     bits: int = 8
     bins: int = 2048
-    stride: int = 4  # KL-scan stride; 4 keeps calibration fast at full fidelity
+    #: Refine-pass stride of the KL scan (the coarse pass takes every
+    #: 16th bin).  With each pass one array, stride 1 would cost only
+    #: ~1.3x stride 4 (VGG-small's 252 positions, one core); 4 stays
+    #: because every LoWino threshold, and so every calibrated output,
+    #: is defined at it.
+    stride: int = 4
 
     def __post_init__(self) -> None:
         self._calibs = [

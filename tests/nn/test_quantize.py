@@ -63,6 +63,16 @@ class TestQuantizeModel:
         dequantize_model(model)
         assert int8 >= fp32 - 0.25
 
+    @pytest.mark.parametrize("algorithm", ["lowino", "int8_direct"])
+    def test_nan_calibration_batch_raises(self, model, dataset, algorithm):
+        """A NaN in the calibration set stops quantization instead of
+        yielding a fallback threshold; the model stays FP32."""
+        batch = next(dataset.calibration_batches(1, 16)).copy()
+        batch[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            quantize_model(model, algorithm, m=2, calibration_batches=[batch])
+        assert all(conv.engine is None for _, conv in named_convs(model))
+
     def test_dequantize_restores_fp32_outputs(self, model, dataset, rng):
         x = dataset.clean[:4]
         before = model(x)

@@ -29,6 +29,17 @@ class TestMinMax:
         obs.observe(np.array([]))
         assert obs.count == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected_state_unchanged(self, bad):
+        # Unchecked, max() skips the NaN (threshold 2.0 though 5.0 was
+        # seen) and inf becomes the threshold.
+        obs = MinMaxObserver()
+        obs.observe(np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            obs.observe(np.array([5.0, bad]))
+        assert (obs.max_abs, obs.count) == (2.0, 2)
+        assert obs.threshold() == 2.0
+
 
 class TestHistogram:
     def test_bins_must_be_power_of_two(self):
@@ -104,6 +115,38 @@ class TestHistogram:
         obs.observe(np.array([1.0]))  # growth from the floored range works
         assert obs.counts.sum() == 2
         assert obs.range >= 1.0
+
+    def test_nan_first_batch_rejected_state_unchanged(self):
+        # Unchecked, a NaN range bins the whole batch into bin 0 and
+        # the threshold falls back to 1.0.
+        obs = HistogramObserver(bins=64)
+        with pytest.raises(ValueError, match="not finite"):
+            obs.observe(np.array([0.5, np.nan, 3.0]))
+        assert (obs.range, obs.count) == (0.0, 0)
+        assert not obs.counts.any()
+
+    def test_nan_later_batch_rejected_state_unchanged(self):
+        # Unchecked, values above the current range are dropped
+        # silently (count 4, histogram total 2 for this input).
+        obs = HistogramObserver(bins=64)
+        obs.observe(np.array([1.0]))
+        before = (obs.counts.copy(), obs.range, obs.count)
+        with pytest.raises(ValueError, match="not finite"):
+            obs.observe(np.array([0.5, 7.0, np.nan]))
+        np.testing.assert_array_equal(obs.counts, before[0])
+        assert (obs.range, obs.count) == before[1:]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_batch_rejected_before_range_growth(self, rng, bad):
+        # Unchecked, the range doubles ~1000 times to inf, merging
+        # every count into bin 0, before np.histogram raises.
+        obs = HistogramObserver(bins=64)
+        obs.observe(rng.standard_normal(100))
+        before = (obs.counts.copy(), obs.range, obs.count)
+        with pytest.raises(ValueError, match="not finite"):
+            obs.observe(np.array([1.0, bad]))
+        np.testing.assert_array_equal(obs.counts, before[0])
+        assert (obs.range, obs.count) == before[1:]
 
     def test_threshold_minmax_zero_data(self):
         obs = HistogramObserver()
