@@ -42,7 +42,7 @@ def main(iters: int = 200) -> None:
     model = build_vgg_small(width=4)
     quantize_model(model, "auto", m=2, calibration_batches=[x])
     session = InferenceSession(model, x.shape, collect_timings=False)
-    session.run(x)  # warm: plans, geometry scratch
+    session.run(x)  # warm: plans, scratch arena
 
     steps = len(session.program.steps)
     best = float("inf")

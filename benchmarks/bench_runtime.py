@@ -29,7 +29,7 @@ def test_bench_engine_forward(benchmark, rng, algorithm):
     x, w = _layer_inputs(rng)
     engine = ExecutionEngine(cache=PlanCache(capacity=64))
     layer = engine.layer(w, algorithm, m=4, padding=LAYER.padding)
-    layer(x)  # build plan + geometry scratch outside the timed region
+    layer(x)  # build plan + grow the scratch arena outside the timed region
     y = benchmark(layer, x)
     assert y.shape == (x.shape[0], LAYER.k, LAYER.hw, LAYER.hw)
 

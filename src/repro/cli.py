@@ -270,9 +270,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import profile as oprof
+    from .runtime.bench import load_json, write_json
 
     cfg = oprof.ProfileConfig(
         model=args.model,
@@ -292,19 +291,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     print(oprof.format_profile(doc))
     if args.stage_baseline:
-        from pathlib import Path
-
         if args.update_stage_baseline:
-            baseline_doc = oprof.stage_baseline_doc(doc)
-            path = Path(args.stage_baseline)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(baseline_doc, indent=1, sort_keys=True) + "\n"
-            )
+            write_json(oprof.stage_baseline_doc(doc), args.stage_baseline)
             print(f"wrote stage baseline {args.stage_baseline}")
         else:
             try:
-                baseline = json.loads(Path(args.stage_baseline).read_text())
+                baseline = load_json(args.stage_baseline)
             except FileNotFoundError:
                 print(f"stage baseline not found: {args.stage_baseline}",
                       file=sys.stderr)
@@ -338,9 +330,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         out_doc = dict(doc)
         if overhead_doc is not None:
             out_doc["overhead"] = overhead_doc
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(out_doc, indent=1, sort_keys=True) + "\n")
+        write_json(out_doc, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -469,9 +459,7 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
+    from .runtime.bench import load_json, write_json
     from .tuning import bench as tbench
 
     cfg = tbench.TuneBenchConfig(
@@ -493,20 +481,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.wisdom:
         print(f"wisdom: {args.wisdom}")
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
     baseline = None
     if args.baseline:
         if args.update_baseline:
-            path = Path(args.baseline)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            write_json(doc, args.baseline)
             print(f"wrote baseline {args.baseline}")
             return 0
         try:
-            baseline = json.loads(Path(args.baseline).read_text())
+            baseline = load_json(args.baseline)
         except FileNotFoundError:
             print(f"baseline not found: {args.baseline}", file=sys.stderr)
             return 2

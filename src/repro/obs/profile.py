@@ -109,7 +109,7 @@ def run_profile(config: ProfileConfig) -> Dict[str, Any]:
     """
     tracer = StageTracer()
     session, x, _ = _build_session(config, tracer)
-    session.run(x)  # warm: plans, geometry scratch, BLAS threads
+    session.run(x)  # warm: plans, scratch arena, BLAS threads
     session.reset_stats()
     for _ in range(max(1, config.runs)):
         session.run(x)

@@ -3,9 +3,10 @@
 This package is the online half of the paper's offline/online split
 (Section 4): :mod:`~repro.runtime.plan` prepares everything a layer
 needs ahead of time, :mod:`~repro.runtime.cache` keeps prepared plans
-(and per-geometry scratch) in a bounded LRU, :mod:`~repro.runtime.engine`
+(and nothing else) in a bounded LRU, :mod:`~repro.runtime.engine`
 executes plans as whole-tensor NumPy pipelines with no Python-level
-tile or task loops, and :mod:`~repro.runtime.pool` provides the
+tile or task loops, leasing each call's intermediates from one
+grow-to-fit scratch pool per engine, and :mod:`~repro.runtime.pool` provides the
 persistent worker threads the blocked GEMM's static schedule runs on.
 :mod:`~repro.runtime.bench` measures it all against the loop-based
 ``*_reference`` paths and gates regressions.

@@ -24,9 +24,9 @@ from shared stage primitives:
 Every intermediate lands in the call's leased scratch via ``out=``
 targets, and each pipeline laps the tracer at the same stage boundaries
 as the reference layers' stages.  The engine
-(:class:`~repro.runtime.engine.ExecutionEngine`) owns the geometry
-lookup and the scratch lease; it hands the lease in through a
-:class:`FusedCall` and the geometry's tile grid as an argument.
+(:class:`~repro.runtime.engine.ExecutionEngine`) owns the scratch pool
+and builds the call's tile grid; it hands the lease in through a
+:class:`FusedCall` and the tile grid as an argument.
 
 The backend's only job is issuing the GEMM: ``numpy`` runs it serially,
 ``threaded`` splits its leading axis over the worker pool when the plan
@@ -118,7 +118,8 @@ class FusedCall:
     def detach(self, out: np.ndarray) -> np.ndarray:
         """Copy ``out`` if it aliases leased scratch (edge geometries where
         ``assemble_output`` returns a view); the lease ends with the call,
-        so escaping views would see the next caller's data."""
+        so an escaping view would see the next call's data -- the next
+        layer of the same run included, since one arena serves them all."""
         if self.arena is not None and self.arena.aliases(out):
             return out.copy()
         return out
@@ -325,7 +326,7 @@ def epilogue(
 
 # -- pipelines ---------------------------------------------------------
 # Each takes (backend, call, plan, images, grid) -- ``grid`` is the
-# geometry's tile grid, None for the direct algorithms -- and returns the
+# call's tile grid, None for the direct algorithms -- and returns the
 # output before the epilogue.
 def _lowino(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Winograd-domain quantization (Fig. 3): input_transform ->

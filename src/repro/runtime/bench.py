@@ -227,7 +227,7 @@ def run_model_bench(
         session = InferenceSession(
             model, x.shape, collect_timings=False, backend=backend, wisdom=wisdom
         )
-        y_compiled = session.run(x)  # warm: builds plans + geometry scratch
+        y_compiled = session.run(x)  # warm: builds plans + grows the scratch arena
         y_eager = model(x)  # warm eager (engines already prepared)
         eager_s = _best_of(lambda: model(x), profile.model_repeats)
         compiled_s = _best_of(lambda: session.run(x), profile.model_repeats)
@@ -262,11 +262,12 @@ def run_bench(
     """Run the benchmark and return the ``BENCH_runtime.json`` document.
 
     A private plan cache is used by default so the emitted
-    ``cache_stats`` describe exactly this run (per-layer plan misses,
-    per-call geometry-scratch hits).  It is sized to hold every plan
-    and geometry arena of the full profile at once -- a model's working
-    set is resident in steady state, and benchmarking the eviction path
-    would just add noise.
+    ``cache_stats`` describe exactly this run: one plan miss per layer
+    and algorithm, and no lookups from the timed calls, which take
+    their scratch from the engine's pool.  It is sized to hold every
+    plan of the full profile at once -- a model's working set is
+    resident in steady state, and benchmarking the eviction path would
+    just add noise.
 
     ``backend`` names the fused-stage kernel backend (``"numpy"`` /
     ``"threaded"``; ``None`` = process default).  It is recorded in the
@@ -290,7 +291,7 @@ def run_bench(
         runtime_layers = {}
         for algo in algorithms:
             layer = engine.layer(w, algo, m=profile.m, padding=layer_cfg.padding)
-            layer(x)  # warm call: builds plan state and geometry scratch
+            layer(x)  # warm call: builds plan state and grows the scratch arena
             walls[algo] = _best_of(lambda layer=layer: layer(x), profile.repeats)
             runtime_layers[algo] = layer
         base = walls.get("fp32_direct")
@@ -538,7 +539,10 @@ def format_bench(doc: dict) -> str:
 
 
 def write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    """Write ``doc`` as sorted, indented JSON, creating parent dirs."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

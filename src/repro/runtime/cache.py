@@ -4,14 +4,18 @@ LoWino amortizes all preparation -- transform-matrix construction,
 filter transform + quantization, Eq. 9 compensation, blocking decisions
 -- offline, so the online path touches none of it (Section 4.2).  The
 NumPy substrate gets the same amortization from this cache: a bounded
-LRU mapping a :class:`~repro.runtime.plan.PlanKey` (algorithm, filter
-fingerprint, tile size, padding, blocking, input geometry) to the
-prepared :class:`~repro.runtime.plan.ConvPlan` or per-geometry scratch.
+LRU mapping a plan key (algorithm, filter fingerprint, tile size,
+padding, blocking) to the prepared
+:class:`~repro.runtime.plan.ConvPlan`.  Plans hold no per-input state;
+scratch belongs to the engine (:class:`~repro.runtime.plan.ScratchPool`).
 
 Eviction is by entry count *and* by resident bytes, whichever bound is
-hit first; every entry reports its footprint via ``nbytes``.  Counters
-(hits / misses / evictions / bytes) are exported by :func:`cache_stats`
-and surfaced on the CLI as ``repro bench --cache-stats``.
+hit first.  Every entry reports its footprint via ``nbytes``, which is
+fixed once a plan is built, so bytes are charged at insert and refunded
+on eviction, same-key replacement and :meth:`PlanCache.clear`.
+Counters (hits / misses / evictions / bytes) are exported by
+:func:`cache_stats` and surfaced on the CLI as
+``repro bench --cache-stats``.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ def _entry_bytes(value: Any) -> int:
 
     Accepts any real number (NumPy integers are not ``int`` subclasses,
     so an ``isinstance(..., int)`` check would silently report 0 for
-    entries whose ``nbytes`` sums ndarray footprints) -- plans and
-    geometry scratch must be visible to the byte bound.
+    entries whose ``nbytes`` sums ndarray footprints) -- plans must be
+    visible to the byte bound.
     """
     nbytes = getattr(value, "nbytes", 0)
     return int(nbytes) if isinstance(nbytes, numbers.Real) else 0
@@ -76,8 +80,8 @@ class PlanCache:
     ``eviction`` picks the victim policy: ``"lru"`` (default, least
     recently used) or ``"lfu"`` -- least *frequently* used by the
     per-key hit counters, recency breaking ties.  The serving layer
-    uses ``"lfu"`` so a hot geometry's plans survive cache pressure
-    from a burst of one-off shapes that would churn a pure LRU.
+    uses ``"lfu"`` so hot plans survive cache pressure from a burst of
+    one-off plans that would churn a pure LRU.
     """
 
     _EVICTION_POLICIES = ("lru", "lfu")
@@ -124,13 +128,7 @@ class PlanCache:
 
     def put(self, key: Hashable, value: Any) -> Any:
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            self._hits.setdefault(key, 0)
-            self._evict_locked(protect=key)
-            self.stats.entries = len(self._entries)
-            return value
+            return self._insert_locked(key, value)
 
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached value, building (and inserting) it on a miss.
@@ -145,21 +143,17 @@ class PlanCache:
                 self._hits[key] = self._hits.get(key, 0) + 1
                 return self._entries[key]
             self.stats.misses += 1
-            value = builder()
-            self._entries[key] = value
-            self._hits.setdefault(key, 0)
-            self._evict_locked(protect=key)
-            self.stats.entries = len(self._entries)
-            return value
+            return self._insert_locked(key, builder())
 
-    def _resident_bytes_locked(self) -> int:
-        """Summed footprint of the live entries, measured *now*.
-
-        Values can grow after insertion (a GeometryPlan's scratch pool
-        allocates arenas on first lease and under contention), so byte
-        accounting must re-measure rather than trust insert-time sizes.
-        """
-        return max(0, sum(_entry_bytes(v) for v in self._entries.values()))
+    def _insert_locked(self, key: Hashable, value: Any) -> Any:
+        if key in self._entries:
+            self.stats.bytes -= _entry_bytes(self._entries.pop(key))
+        self._entries[key] = value
+        self.stats.bytes += _entry_bytes(value)
+        self._hits.setdefault(key, 0)
+        self._evict_locked(protect=key)
+        self.stats.entries = len(self._entries)
+        return value
 
     def _victim_locked(self, protect: Optional[Hashable] = None) -> Hashable:
         """Key to evict next under the configured policy.
@@ -167,7 +161,7 @@ class PlanCache:
         ``protect`` (the just-inserted key) is exempt unless it is the
         only entry left: a fresh plan always starts with 0 hits, so an
         unprotected LFU would evict every admission immediately and new
-        geometries could never get cached.
+        plans could never get cached.
         """
         candidates = [k for k in self._entries if k != protect]
         if not candidates:
@@ -180,42 +174,28 @@ class PlanCache:
         return min(candidates, key=lambda k: self._hits.get(k, 0))
 
     def _evict_locked(self, protect: Optional[Hashable] = None) -> None:
-        resident = self._resident_bytes_locked()
         while len(self._entries) > self.capacity or (
             self.max_bytes > 0
-            and resident > self.max_bytes
+            and self.stats.bytes > self.max_bytes
             and len(self._entries) > 1
         ):
             key = self._victim_locked(protect)
-            evicted = self._entries.pop(key)
+            self.stats.bytes -= _entry_bytes(self._entries.pop(key))
             self._hits.pop(key, None)
-            resident = max(0, resident - _entry_bytes(evicted))
             self.stats.evictions += 1
-        self.stats.bytes = resident
 
     def stats_dict(self) -> Dict[str, Any]:
-        """Counter snapshot with ``bytes``/``entries`` re-measured from
-        the live entries (scratch pools grow after insertion)."""
+        """Consistent counter snapshot."""
         with self._lock:
-            self.stats.bytes = self._resident_bytes_locked()
-            self.stats.entries = len(self._entries)
             return self.stats.as_dict()
 
     def reset_stats(self) -> None:
         """Zero the cumulative counters (hits/misses/evictions) while
-        preserving the live entries and their re-measured footprint --
-        the epoch reset :meth:`InferenceSession.reset_stats` needs so a
-        post-reset ``cache_stats()`` does not mix epochs."""
+        preserving the live entries and their footprint -- the epoch
+        reset :meth:`InferenceSession.reset_stats` needs so a post-reset
+        ``cache_stats()`` does not mix epochs."""
         with self._lock:
-            self.stats = CacheStats(
-                bytes=self._resident_bytes_locked(), entries=len(self._entries)
-            )
-
-    def entries_snapshot(self) -> list:
-        """Consistent copy of the live values (telemetry aggregation:
-        e.g. summing scratch-pool lease stats across geometry plans)."""
-        with self._lock:
-            return list(self._entries.values())
+            self.stats = CacheStats(bytes=self.stats.bytes, entries=len(self._entries))
 
     def hit_counts(self) -> Dict[Hashable, int]:
         """Per-key hit counters for the resident entries (the numbers

@@ -5,9 +5,9 @@
 
 * every convolution node becomes a :class:`~repro.runtime.plan.ConvPlan`
   executed by the shared :class:`~repro.runtime.engine.ExecutionEngine`
-  (one :class:`~repro.runtime.cache.PlanCache` + scratch arena for the
-  whole program, so repeated geometries amortize across layers and
-  batches);
+  (one :class:`~repro.runtime.cache.PlanCache` of plans resolved at
+  lowering, plus the engine's scratch pool, whose arena every layer and
+  batch size of a run reuses);
 * the FP32-mode bias add and a directly following single-consumer ReLU
   are fused into the convolution step's epilogue (likewise the ReLU
   after a residual add), eliminating the intermediate materialization

@@ -11,8 +11,8 @@ loop anywhere.  The loop-based implementations stay available as
 
 All six algorithms -- the four quantized pipelines and the two FP32
 baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
-the engine looks up the plan's per-geometry state, leases a scratch
-arena, and runs the algorithm's pipeline, whose GEMM is issued by the
+the engine builds the call's tile grid, leases a scratch arena from its
+own pool, and runs the algorithm's pipeline, whose GEMM is issued by the
 configured :class:`~repro.runtime.backends.KernelBackend`.  The default
 backend is a serial ``np.matmul``; a threaded-BLAS backend partitions
 the GEMM across the :class:`~repro.runtime.pool.WorkerPool`.  All
@@ -50,7 +50,7 @@ import numpy as np
 from ..winograd import tile_grid
 from .backends import FUSED_ALGORITHMS, PIPELINES, FusedCall, epilogue, resolve_backend
 from .cache import PlanCache, default_cache
-from .plan import ConvPlan, GeometryPlan, get_plan
+from .plan import ConvPlan, ScratchPool, get_plan
 
 __all__ = ["ExecutionEngine", "RuntimeLayer", "default_engine"]
 
@@ -62,13 +62,14 @@ class ExecutionEngine:
     it shares the process-wide plan cache so repeated ``conv2d`` calls
     and ``make_layer`` objects hit the same prepared state.
 
-    ``use_scratch`` enables preallocated intermediate buffers.  Scratch
-    is held in a per-(plan, geometry) :class:`~repro.runtime.plan.ScratchPool`
-    of *leased* arenas: each ``execute`` call acquires a private arena for
-    its duration and releases it on return, so any number of threads may
-    execute the same plan on the same geometry concurrently -- the pool
-    grows to one arena per peak-concurrent caller and reports contention
-    via its :class:`~repro.runtime.plan.LeaseStats`.
+    ``use_scratch`` enables reusable intermediate buffers.  The engine
+    owns one :class:`~repro.runtime.plan.ScratchPool` (``scratch``) of
+    *leased* grow-to-fit arenas: each ``execute`` call acquires a private
+    arena for its duration and releases it on return.  A run's layers
+    execute one after another and every output is detached from the
+    lease, so the pool settles at one arena per concurrent run, sized by
+    the largest call, and reports contention via its
+    :class:`~repro.runtime.plan.LeaseStats`.
 
     ``backend`` selects the backend that issues every pipeline's GEMM:
     ``None`` (the process default pure-NumPy backend), a
@@ -93,6 +94,7 @@ class ExecutionEngine:
         self.use_scratch = use_scratch
         self.tracer = tracer
         self.backend = resolve_backend(backend)
+        self.scratch = ScratchPool()
 
     def _active_tracer(self):
         tracer = self.tracer
@@ -147,22 +149,18 @@ class ExecutionEngine:
         tr = self._active_tracer()
         images = np.asarray(images, dtype=np.float64)
         t0 = time.perf_counter() if tr else 0.0
+        alg = getattr(plan.layer, "alg", None)
         p = plan.layer.padding
-        padded_hw = (images.shape[2] + 2 * p, images.shape[3] + 2 * p)
-
-        def build() -> GeometryPlan:
-            alg = getattr(plan.layer, "alg", None)
-            return GeometryPlan(grid=tile_grid(alg, *padded_hw) if alg is not None else None)
-
-        geom = plan.geometry(self.cache, images.shape, build)
-        arena = geom.scratch.acquire() if self.use_scratch else None
+        h, w = images.shape[2] + 2 * p, images.shape[3] + 2 * p
+        grid = tile_grid(alg, h, w) if alg is not None else None
+        arena = self.scratch.acquire() if self.use_scratch else None
         try:
             call = FusedCall(arena, tr, t0)
-            out = PIPELINES[plan.algorithm](self.backend, call, plan, images, geom.grid)
+            out = PIPELINES[plan.algorithm](self.backend, call, plan, images, grid)
             return epilogue(call, out, bias, relu)
         finally:
             if arena is not None:
-                geom.scratch.release(arena)
+                self.scratch.release(arena)
 
 
 class RuntimeLayer:

@@ -3,16 +3,17 @@
 A plan is everything LoWino prepares *offline* (Section 4.2): the
 Cook-Toom transform matrices, the transformed + quantized + packed
 filters, the Eq. 9 compensation term, the blocking decision -- plus the
-engine-side float64 operand casts and, per input geometry, the tile-grid
-decomposition and preallocated scratch buffers.  Building a plan is the
-expensive part of a convolution call; executing one is a handful of
-whole-tensor NumPy ops (:mod:`repro.runtime.engine`).
+engine-side float64 operand casts.  Building a plan is the expensive
+part of a convolution call; executing one is a handful of whole-tensor
+NumPy ops (:mod:`repro.runtime.engine`).
 
 Plans are keyed by :func:`plan_key` -- ``(algorithm, filter
 fingerprint, m, padding, bits, extra kwargs)`` -- and stored in the
-process-wide :class:`~repro.runtime.cache.PlanCache`; per-geometry
-scratch lives under a derived key that appends the input geometry.  The
-prepared state embeds the corresponding *reference layer object*
+process-wide :class:`~repro.runtime.cache.PlanCache`.  A plan holds no
+per-input state: the tile grid is rebuilt per call and the online
+intermediates live in the engine's :class:`ScratchPool`, whose
+grow-to-fit :class:`ScratchArena` serves every plan and batch size.
+The prepared state embeds the corresponding *reference layer object*
 (:class:`~repro.core.LoWinoConv2d` etc.), so plan construction runs the
 exact same offline code path the references use -- the engine cannot
 drift from the reference preparation by construction.
@@ -21,10 +22,10 @@ drift from the reference preparation by construction.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +40,6 @@ __all__ = [
     "ConvPlan",
     "plan_key",
     "filters_digest",
-    "aggregate_lease_stats",
     "get_plan",
     "build_plan",
 ]
@@ -56,11 +56,15 @@ ALGORITHMS: Tuple[str, ...] = (
 
 
 class ScratchArena:
-    """Named, reusable scratch buffers for one engine call.
+    """Named, grow-to-fit scratch buffers for one engine call.
 
-    ``buf(name, shape, dtype)`` returns the cached array when shape and
-    dtype match, else (re)allocates.  Buffers are *uninitialized* between
-    uses; callers fully overwrite them (``np.matmul(..., out=...)``).
+    ``buf(name, shape, dtype)`` returns a C-contiguous view at offset 0 of
+    the flat backing buffer kept under ``name``.  The backing grows to the
+    largest request it has seen and is never shrunk, so one arena serves
+    every layer and batch size of a run, and each non-empty view has
+    exactly the shape, strides and dtype a fresh ``np.empty`` would
+    have.  Views are *uninitialized*; callers fully overwrite them
+    (``np.matmul(..., out=...)``).
 
     An arena belongs to exactly one caller at a time: it is handed out
     as a lease by :class:`ScratchPool` and must not be shared between
@@ -73,11 +77,13 @@ class ScratchArena:
         self._buffers: Dict[str, np.ndarray] = {}
 
     def buf(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        arr = self._buffers.get(name)
-        if arr is None or arr.shape != tuple(shape) or arr.dtype != np.dtype(dtype):
-            arr = np.empty(shape, dtype=dtype)
-            self._buffers[name] = arr
-        return arr
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        flat = self._buffers.get(name)
+        if flat is None or flat.nbytes < nbytes:
+            flat = np.empty(nbytes, dtype=np.uint8)
+            self._buffers[name] = flat
+        return np.ndarray(shape, dtype=dtype, buffer=flat)
 
     def aliases(self, array: np.ndarray) -> bool:
         """True when ``array`` may share memory with any arena buffer
@@ -86,7 +92,9 @@ class ScratchArena:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self._buffers.values())
+        # Snapshot first: stats are read from other threads while the
+        # lease holder may be adding a buffer name.
+        return sum(a.nbytes for a in list(self._buffers.values()))
 
 
 @dataclass
@@ -94,83 +102,55 @@ class LeaseStats:
     """Telemetry for one :class:`ScratchPool`.
 
     ``grows`` counts acquisitions that found no free arena and had to
-    allocate a new one (the contention signal); ``waits`` /
-    ``wait_seconds`` accumulate blocking time when a ``max_leases``
-    bound forces callers to queue for a release.
+    allocate a new one (the contention signal).
     """
 
     acquires: int = 0
     releases: int = 0
     grows: int = 0
-    waits: int = 0
-    wait_seconds: float = 0.0
     in_use: int = 0
     peak_in_use: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "acquires": self.acquires,
-            "releases": self.releases,
-            "grows": self.grows,
-            "waits": self.waits,
-            "wait_seconds": self.wait_seconds,
-            "in_use": self.in_use,
-            "peak_in_use": self.peak_in_use,
-        }
+        return asdict(self)
 
 
 class ScratchPool:
-    """Leased pool of :class:`ScratchArena` instances for one geometry.
+    """Leased pool of :class:`ScratchArena` instances, one pool per engine.
 
     The engine acquires an arena for the duration of one ``execute``
     call and releases it afterwards, so any number of threads can run
-    the *same* plan on the *same* geometry concurrently: each holds a
-    private buffer set.  The pool grows on demand -- an acquire that
-    finds every arena leased allocates a fresh one (counted in
-    ``stats.grows``) -- so steady-state serving settles at one arena
-    per peak-concurrent caller.
-
-    ``max_leases`` optionally bounds the pool; callers beyond the bound
-    block until a release and the wait is recorded in ``stats``.
+    plans concurrently: each holds a private buffer set.  The pool grows
+    on demand -- an acquire that finds every arena leased allocates a
+    fresh one (counted in ``stats.grows``) -- so steady-state serving
+    settles at one arena per peak-concurrent caller.
     """
 
-    def __init__(self, max_leases: Optional[int] = None) -> None:
-        if max_leases is not None and max_leases < 1:
-            raise ValueError(f"max_leases must be >= 1, got {max_leases}")
-        self.max_leases = max_leases
-        self._cond = threading.Condition()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._free: List[ScratchArena] = []
         self._arenas: List[ScratchArena] = []  #: every arena ever created
         self.stats = LeaseStats()
 
     def acquire(self) -> ScratchArena:
-        with self._cond:
+        with self._lock:
             self.stats.acquires += 1
-            if not self._free and (
-                self.max_leases is None or len(self._arenas) < self.max_leases
-            ):
+            if self._free:
+                arena = self._free.pop()
+            else:
                 arena = ScratchArena()
                 self._arenas.append(arena)
-                self._free.append(arena)
                 if len(self._arenas) > 1:
                     self.stats.grows += 1
-            if not self._free:
-                self.stats.waits += 1
-                t0 = time.perf_counter()
-                while not self._free:
-                    self._cond.wait()
-                self.stats.wait_seconds += time.perf_counter() - t0
-            arena = self._free.pop()
             self.stats.in_use += 1
             self.stats.peak_in_use = max(self.stats.peak_in_use, self.stats.in_use)
             return arena
 
     def release(self, arena: ScratchArena) -> None:
-        with self._cond:
+        with self._lock:
             self.stats.releases += 1
             self.stats.in_use -= 1
             self._free.append(arena)
-            self._cond.notify()
 
     @contextmanager
     def lease(self):
@@ -182,33 +162,16 @@ class ScratchPool:
 
     @property
     def arenas(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._arenas)
-
-    @property
-    def nbytes(self) -> int:
-        with self._cond:
-            return sum(a.nbytes for a in self._arenas)
 
     def stats_dict(self) -> Dict[str, Any]:
         """Consistent :class:`LeaseStats` snapshot plus arena footprint."""
-        with self._cond:
+        with self._lock:
             doc = self.stats.as_dict()
             doc["arenas"] = len(self._arenas)
             doc["nbytes"] = sum(a.nbytes for a in self._arenas)
             return doc
-
-
-@dataclass
-class GeometryPlan:
-    """Per-input-geometry state: the tile grid and the scratch pool."""
-
-    grid: Any  #: TileGrid for Winograd-family plans, None for direct
-    scratch: ScratchPool = field(default_factory=ScratchPool)
-
-    @property
-    def nbytes(self) -> int:
-        return self.scratch.nbytes
 
 
 def _array_bytes(obj: Any) -> int:
@@ -239,45 +202,6 @@ class ConvPlan:
     @property
     def nbytes(self) -> int:
         return _array_bytes(self.layer) + sum(a.nbytes for a in self.operands.values())
-
-    def geometry(
-        self, cache: PlanCache, images_shape: Tuple[int, ...], builder
-    ) -> GeometryPlan:
-        """The cached per-geometry plan for an input shape."""
-        geom_key = (self.key, "geometry", tuple(images_shape))
-        return cache.get_or_build(geom_key, builder)
-
-
-def aggregate_lease_stats(values) -> Dict[str, Any]:
-    """Sum the scratch-pool lease telemetry across cached values.
-
-    ``values`` is typically ``cache.entries_snapshot()``; every
-    :class:`GeometryPlan` contributes its pool's acquires / grows /
-    waits / wait seconds plus arena count and bytes, giving the
-    engine-wide contention picture one snapshot exports.
-    """
-    totals: Dict[str, Any] = {
-        "pools": 0,
-        "acquires": 0,
-        "releases": 0,
-        "grows": 0,
-        "waits": 0,
-        "wait_seconds": 0.0,
-        "in_use": 0,
-        "peak_in_use": 0,
-        "arenas": 0,
-        "nbytes": 0,
-    }
-    for value in values:
-        if not isinstance(value, GeometryPlan):
-            continue
-        doc = value.scratch.stats_dict()
-        totals["pools"] += 1
-        for key in ("acquires", "releases", "grows", "waits", "in_use", "arenas", "nbytes"):
-            totals[key] += doc[key]
-        totals["wait_seconds"] += doc["wait_seconds"]
-        totals["peak_in_use"] = max(totals["peak_in_use"], doc["peak_in_use"])
-    return totals
 
 
 def filters_digest(filters: np.ndarray) -> str:

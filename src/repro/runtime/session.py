@@ -3,8 +3,10 @@
 A session owns the full compile-then-execute pipeline for one model:
 trace to the graph IR, lower every convolution onto the vectorized
 runtime (:mod:`repro.runtime.compiler`), and serve ``run(batch)`` with a
-private :class:`~repro.runtime.cache.PlanCache` shared by all layers, so
-per-geometry scratch and prepared plans persist across batches.
+private :class:`~repro.runtime.cache.PlanCache` of prepared plans shared
+by all layers, resolved once at lowering so a run looks nothing up.
+Intermediates live in the engine's scratch pool: one grow-to-fit arena
+per concurrent run, sized by the largest call it has served.
 
 Sessions are observable: every run accumulates per-layer wall-clock into
 :attr:`timings` (keyed by the stable layer paths from
@@ -19,8 +21,8 @@ written against an eager model, e.g.
 Sessions are thread-safe: one prepared session can serve ``run`` from
 any number of threads (the LoWino deployment shape -- prepare once,
 serve many).  Execution shares only immutable plans, the internally
-locked :class:`~repro.runtime.cache.PlanCache`, and per-geometry
-:class:`~repro.runtime.plan.ScratchPool` leases; the cumulative
+locked :class:`~repro.runtime.cache.PlanCache`, and leases from the
+engine's :class:`~repro.runtime.plan.ScratchPool`; the cumulative
 statistics are merged under a private lock.  :mod:`repro.serve` builds
 a batching server on top of this guarantee.
 
@@ -49,7 +51,6 @@ from ..obs.tracer import StageTracer
 from .cache import PlanCache
 from .compiler import CompiledProgram, compile_model, relower_conv
 from .engine import ExecutionEngine
-from .plan import aggregate_lease_stats
 
 __all__ = ["InferenceSession"]
 
@@ -75,8 +76,8 @@ class InferenceSession:
         self.model = model
         self.input_shape = tuple(int(s) for s in input_shape)
         if cache is None:
-            # Room for every conv's plan + per-geometry scratch entries
-            # without evicting within a run.
+            # Room for every conv's plan, and for plans re-lowered by
+            # wisdom refreshes, without evicting within a run.
             n_convs = sum(1 for _ in _convs(model))
             cache = PlanCache(
                 capacity=max(64, 8 * max(1, n_convs)), eviction=cache_eviction
@@ -119,7 +120,7 @@ class InferenceSession:
             selector=selector, tune=tune,
         )
         if self.program.selection:
-            # Warm the wisdom-known plans (and their geometry scratch)
+            # Warm the wisdom-known plans (and the engine's scratch)
             # before the first request hits them; program.run bypasses
             # the session counters so telemetry stays request-only.
             self.program.run(np.zeros(self.input_shape))
@@ -264,8 +265,8 @@ class InferenceSession:
         return self.cache.stats_dict()
 
     def scratch_stats(self) -> Dict[str, int]:
-        """Scratch-pool lease counters summed over the cached plans."""
-        return aggregate_lease_stats(self.cache.entries_snapshot())
+        """Lease counters and footprint of the engine's scratch pool."""
+        return self.engine.scratch.stats_dict()
 
     def stats(self) -> Dict[str, object]:
         """One JSON-ready snapshot of everything this session tracks."""
@@ -292,7 +293,7 @@ class InferenceSession:
     def reset_stats(self) -> None:
         """Start a fresh statistics epoch: per-layer timings, run/image
         counters, *and* the plan-cache counters (a post-reset snapshot
-        must not mix epochs).  Live plans/scratch stay resident."""
+        must not mix epochs).  Live plans and scratch stay resident."""
         with self._stats_lock:
             self.timings = {}
         self._runs.reset()
@@ -318,19 +319,13 @@ class InferenceSession:
             "repro_plan_cache_entries", cache["entries"], help="Resident plan entries"
         )
         scratch = self.scratch_stats()
-        for key in ("acquires", "releases", "grows", "waits"):
+        for key in ("acquires", "releases", "grows"):
             yield Sample(
                 f"repro_scratch_{key}_total",
                 scratch[key],
                 kind="counter",
                 help=f"Scratch pool {key}",
             )
-        yield Sample(
-            "repro_scratch_wait_seconds_total",
-            scratch["wait_seconds"],
-            kind="counter",
-            help="Seconds spent waiting on scratch leases",
-        )
         for key in ("in_use", "peak_in_use", "arenas", "nbytes"):
             yield Sample(
                 f"repro_scratch_{key}", scratch[key], help=f"Scratch pool {key}"

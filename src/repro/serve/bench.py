@@ -23,17 +23,16 @@ the throughput ratio and the bit-identity flag are host-independent.
 
 from __future__ import annotations
 
-import json
 import platform
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.bench import ModelCase, build_case_model
+from ..runtime.bench import ModelCase, build_case_model, load_json, write_json
 from ..runtime.session import InferenceSession
 from .server import Server
 
@@ -562,13 +561,3 @@ def format_proc_bench(doc: dict) -> str:
             f"{'yes' if doc['summary']['selection_converged'] else 'NO'}"
         )
     return "\n".join(lines)
-
-
-def write_json(doc: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -57,13 +57,12 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.metrics import Histogram, nearest_rank
-from ..runtime.bench import ModelCase, build_case_model
+from ..runtime.bench import ModelCase, build_case_model, load_json, write_json
 from ..runtime.session import InferenceSession
 from .batching import ServerOverloaded
 from .server import Server
@@ -632,13 +631,3 @@ def format_load_bench(doc: dict) -> str:
     )
     lines.append(f"schedule digest: {s['schedule_digest'][:16]}...")
     return "\n".join(lines)
-
-
-def write_json(doc: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -22,7 +22,7 @@ from repro.nn import (
     named_convs,
     quantize_model,
 )
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, PlanCache
 
 BUILDERS = {
     "vgg": lambda: build_vgg_small(width=8),
@@ -148,24 +148,21 @@ class TestSessionStats:
         # the live plans and their footprint stay resident.
         model = build_vgg_small(width=8)
         x = rng.standard_normal((1, 3, 16, 16))
-        # Quantized layers look up per-geometry scratch in the cache on
-        # every run, so hits accumulate (fp32 plans are resolved at
-        # compile time and would leave the run-time counters at zero).
         quantize_model(model, "lowino", m=2, calibration_batches=[np.maximum(x, 0)])
-        session = InferenceSession(model, (1, 3, 16, 16))
-        session.run(x)
+        # A tiny cache so lowering itself records misses and evictions.
+        session = InferenceSession(model, (1, 3, 16, 16), cache=PlanCache(capacity=2))
         session.run(x)
         before = session.cache_stats()
-        assert before["hits"] > 0 and before["entries"] > 0
+        assert before["misses"] > 0 and before["evictions"] > 0
+        assert before["entries"] == 2 and before["bytes"] > 0
         session.reset_stats()
         after = session.cache_stats()
         assert after["hits"] == 0 and after["misses"] == 0
         assert after["evictions"] == 0
         assert after["entries"] == before["entries"]
         assert after["bytes"] == before["bytes"]
-        session.run(x)  # plans still resident: pure hits, no rebuild
-        assert session.cache_stats()["misses"] == 0
-        assert session.cache_stats()["hits"] > 0
+        session.run(x)  # plans were resolved at lowering: runs look nothing up
+        assert session.cache_stats() == after
 
     def test_stats_snapshot_and_scratch(self, rng):
         model = build_vgg_small(width=8)
@@ -200,3 +197,29 @@ class TestSessionStats:
         quantize_model(model, "lowino", m=2, calibration_batches=[calib])
         text = InferenceSession(model, (1, 3, 16, 16)).describe()
         assert "lowino" in text and "relu" in text
+
+
+class TestScratchFootprint:
+    def test_batch_sweep_settles_at_one_arena_and_keeps_plans(self, rng):
+        """Serving warm-up (every batch size 1..16 once) must leave the
+        scratch a single run needs at batch 16 and every conv plan
+        resident -- not one scratch set per (conv, batch size) crowding
+        the plans out of the cache."""
+        model = build_resnet_small(width=16)
+        calib = np.maximum(rng.standard_normal((2, 3, 16, 16)), 0)
+        quantize_model(model, "auto", calibration_batches=[calib])
+
+        def warmed(batch_sizes):
+            session = InferenceSession(model, (1, 3, 16, 16), cache_eviction="lfu")
+            for n in batch_sizes:
+                session.run(rng.standard_normal((n, 3, 16, 16)))
+            return session
+
+        session = warmed(range(1, 17))
+        scratch = session.scratch_stats()
+        assert scratch["nbytes"] == warmed([16]).scratch_stats()["nbytes"]
+        assert scratch["arenas"] == 1
+        assert session.cache_stats()["evictions"] == 0
+        for step in session.program.steps:
+            if step.kind == "conv":
+                assert step.plan.key in session.cache

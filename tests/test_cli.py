@@ -178,7 +178,7 @@ class TestHappyPaths:
         assert doc["summary"]["exact"] is True
 
     def test_profile_tiny_run(self, tmp_path, capsys):
-        out_file = tmp_path / "profile.json"
+        out_file = tmp_path / "new" / "profile.json"  # --out creates dirs
         assert main(["profile", "--model", "vgg", "--algorithm", "lowino",
                      "--hw", "8", "--width", "8", "--m", "2",
                      "--runs", "1", "--out", str(out_file)]) == 0
@@ -322,7 +322,7 @@ class TestHappyPaths:
                      "--baseline", str(tmp_path / "nope.json")]) == 2
 
     def test_bench_writes_json(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
+        out_file = tmp_path / "new" / "bench.json"  # --out creates dirs
         assert main(["bench", "--quick", "--layers", "ResNet-50_c",
                      "--repeats", "1", "--algorithms", "fp32_direct,lowino",
                      "--no-reference", "--no-models", "--out", str(out_file)]) == 0
