@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.runtime import PlanCache, cache_stats, clear_cache, default_cache, get_plan
+from repro.runtime import (
+    ExecutionEngine,
+    PlanCache,
+    cache_stats,
+    clear_cache,
+    default_cache,
+    get_plan,
+)
 from repro.runtime.plan import plan_key
 
 
@@ -109,6 +116,38 @@ class TestByteBound:
         cache = PlanCache(capacity=8, max_bytes=16)
         cache.put("big", np.zeros(1024, dtype=np.uint8))
         assert len(cache) == 1  # never evicts down to empty
+
+    def test_post_insert_scratch_growth_visible_and_evictable(self, rng):
+        """Running a cached plan grows scratch *after* its insert.  The
+        growth lands in the engine's scratch pool, where its telemetry
+        shows it; the cache's byte count stays the summed plan
+        footprints, so evicting a plan that ran never drives ``bytes``
+        negative and leaves the engine's scratch in place."""
+        probe = get_plan(
+            "lowino", rng.standard_normal((4, 4, 3, 3)), m=2, padding=1,
+            cache=PlanCache(capacity=4),
+        )
+        cache = PlanCache(capacity=8, max_bytes=int(probe.nbytes) + 1)
+        engine = ExecutionEngine(cache=cache)
+        w1 = rng.standard_normal((4, 4, 3, 3))
+        first = engine.plan_for(w1, "lowino", m=2, padding=1)
+        charged = cache.stats_dict()["bytes"]
+        assert charged == int(first.nbytes)
+        assert engine.scratch.stats_dict()["nbytes"] == 0
+
+        engine.execute(first, rng.standard_normal((2, 4, 8, 8)))
+        grown = engine.scratch.stats_dict()["nbytes"]
+        assert grown > 0  # growth is visible in the scratch telemetry
+        assert cache.stats_dict()["bytes"] == charged  # not charged to the plan
+
+        w2 = rng.standard_normal((4, 4, 3, 3))
+        engine.plan_for(w2, "lowino", m=2, padding=1)  # over the byte bound
+        assert len(cache) == 1 and cache.stats.evictions == 1
+        assert first.key not in cache  # the plan that ran was evicted
+        assert cache.stats.bytes == sum(
+            int(p.nbytes) for p in cache._entries.values()
+        ) >= 0
+        assert engine.scratch.stats_dict()["nbytes"] == grown  # scratch stays
 
     def test_bytes_never_negative(self):
         """Bytes are charged at insert and refunded on same-key replace,
