@@ -99,7 +99,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.out:
         from pathlib import Path
 
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -230,7 +232,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         algorithms=algorithms,
         seed=args.seed,
         models=not args.no_models,
-        backend=args.backend,
         wisdom=args.wisdom,
     )
     print(rbench.format_bench(doc))
@@ -281,7 +282,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         width=args.width,
         m=args.m,
         runs=args.runs,
-        backend=args.backend,
         seed=args.seed,
     )
     try:
@@ -367,7 +367,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         workers=args.workers,
-        backend=args.backend,
         seed=args.seed,
         wisdom=args.wisdom,
     )
@@ -416,7 +415,6 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
         procs=procs,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
-        backend=args.backend,
         transport=args.transport,
         wisdom=not args.no_proc_wisdom,
         seed=args.seed,
@@ -469,7 +467,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         batch=args.batch,
         repeats=args.repeats,
         seed=args.seed,
-        backend=args.backend,
         family=args.family,
     )
     try:
@@ -564,12 +561,6 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_choices() -> tuple:
-    from .runtime.backends import available_backends
-
-    return tuple(available_backends())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LoWino reproduction experiment runner"
@@ -654,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="allowed fractional regression vs baseline (default 0.25)")
     pbn.add_argument("--update-baseline", action="store_true",
                      help="record this run as the new baseline (with --baseline)")
-    pbn.add_argument("--backend", default=None, choices=_backend_choices(),
-                     help="fused-stage kernel backend (default: process default)")
     pbn.add_argument("--no-reference", action="store_true",
                      help="skip the (slow) loop-reference timings")
     pbn.add_argument("--no-models", action="store_true",
@@ -693,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="interleaved best-of repeats for --overhead (default 5)")
     ppr.add_argument("--gate", type=float, default=0.05,
                      help="allowed enabled-tracer overhead fraction (default 0.05)")
-    ppr.add_argument("--backend", default="numpy", choices=_backend_choices(),
-                     help="fused-stage kernel backend (default numpy)")
     ppr.add_argument("--stage-baseline", default=None,
                      help="stage-share baseline JSON to gate against "
                           "(e.g. benchmarks/BENCH_stages.json)")
@@ -754,8 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="micro-batcher coalescing window (default 5ms)")
     psv.add_argument("--workers", type=int, default=1,
                      help="server worker threads per model (default 1)")
-    psv.add_argument("--backend", default="numpy", choices=_backend_choices(),
-                     help="fused-stage kernel backend (default numpy)")
     psv.add_argument("--width", type=int, default=16,
                      help="model width (default 16)")
     psv.add_argument("--hw", type=int, default=16,
@@ -848,8 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="timed repeats per candidate (best-of, default 2)")
     ptn.add_argument("--seed", type=int, default=2021,
                      help="measurement tensor seed (default 2021)")
-    ptn.add_argument("--backend", default="numpy", choices=_backend_choices(),
-                     help="fused-stage kernel backend (default numpy)")
     ptn.add_argument("--family", default="quantized",
                      choices=("quantized", "fp32"),
                      help="candidate family per geometry: the INT8 pipelines "

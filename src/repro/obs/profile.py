@@ -67,9 +67,6 @@ class ProfileConfig:
     width: int = 32
     m: int = 4
     runs: int = 3
-    #: Fused-stage kernel backend the profiled session executes on
-    #: (:func:`repro.runtime.backends.available_backends`).
-    backend: str = "numpy"
     seed: int = SEED
 
 
@@ -95,7 +92,7 @@ def _build_session(config: ProfileConfig, tracer: Optional[StageTracer], model=N
             quantize_model(
                 model, config.algorithm, m=config.m, calibration_batches=[x]
             )
-    session = InferenceSession(model, x.shape, tracer=tracer, backend=config.backend)
+    session = InferenceSession(model, x.shape, tracer=tracer)
     return session, x, model
 
 
@@ -302,10 +299,10 @@ def stage_baseline_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-#: ``config`` keys that must match for a stage baseline to gate a run
-#: (seed/runs affect noise, not the breakdown shape; ``backend`` *is*
-#: compared -- the threaded backend legitimately shifts the GEMM share).
-_STAGE_COMPAT_KEYS = ("model", "algorithm", "batch", "hw", "width", "m", "backend")
+#: ``config`` keys that must match for a stage baseline to gate a run:
+#: the workload's shape.  Seed and runs affect noise, not the breakdown
+#: shape, so they are not compared.
+_STAGE_COMPAT_KEYS = ("model", "algorithm", "batch", "hw", "width", "m")
 
 
 def check_stage_gate(

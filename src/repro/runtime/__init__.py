@@ -18,14 +18,6 @@ Quick use::
     runtime.cache_stats()   # {'hits': ..., 'misses': ..., 'bytes': ...}
 """
 
-from .backends import (
-    KernelBackend,
-    NumpyKernelBackend,
-    ThreadedBlasBackend,
-    available_backends,
-    default_backend,
-    resolve_backend,
-)
 from .cache import CacheStats, PlanCache, cache_stats, clear_cache, default_cache
 from .compiler import CompiledProgram, compile_model, lower
 from .engine import ExecutionEngine, RuntimeLayer, default_engine
@@ -50,22 +42,17 @@ __all__ = [
     "ConvPlan",
     "ExecutionEngine",
     "InferenceSession",
-    "KernelBackend",
     "LeaseStats",
-    "NumpyKernelBackend",
     "PlanCache",
     "RuntimeLayer",
     "ScratchArena",
     "ScratchPool",
-    "ThreadedBlasBackend",
     "WorkerPool",
-    "available_backends",
     "build_plan",
     "cache_stats",
     "clear_cache",
     "compile_model",
     "conv2d",
-    "default_backend",
     "default_cache",
     "default_engine",
     "filters_digest",
@@ -74,7 +61,6 @@ __all__ = [
     "lower",
     "make_layer",
     "plan_key",
-    "resolve_backend",
     "shutdown_pool",
 ]
 

@@ -1,4 +1,4 @@
-"""Fused convolution pipelines and the pluggable GEMM backends.
+"""Fused convolution pipelines.
 
 The paper's central engineering claim (Section 4) is that low-precision
 Winograd only pays off when transform / quantize / GEMM / dequantize run
@@ -14,7 +14,7 @@ from shared stage primitives:
   (the spatial-domain schemes quantize before the transform);
 * :func:`_winograd_input` -- tiles + ``B^T d B`` + the ``(T, N, C)``
   GEMM layout; :func:`_im2col` for the direct algorithms;
-* :func:`_gemm` -- the GEMM, issued by the :class:`KernelBackend`;
+* :func:`_gemm` -- the GEMM, one ``np.matmul`` into leased scratch;
 * :func:`_wrap_divide` -- the dequantizing divide with INT32 wrap
   semantics;
 * :func:`_scatter` + :func:`_inverse_transform` -- accumulator tiles,
@@ -28,9 +28,11 @@ as the reference layers' stages.  The engine
 and builds the call's tile grid; it hands the lease in through a
 :class:`FusedCall` and the tile grid as an argument.
 
-The backend's only job is issuing the GEMM: ``numpy`` runs it serially,
-``threaded`` splits its leading axis over the worker pool when the plan
-allows it.
+Every pipeline issues its GEMM as one serial ``np.matmul``.  Multi-core
+execution in the paper's sense (Section 4.4, static scheduling of
+independent tile tasks) is :func:`repro.gemm.batched_gemm_blocked` at
+``omega > 1`` on the :class:`~repro.runtime.pool.WorkerPool`, which
+``LoWinoConv2d(use_blocked_gemm=True)`` runs.
 
 Bit-identity contract
 ---------------------
@@ -50,21 +52,11 @@ materializations because each skip is an exact no-op:
 - *In-place epilogue*: ``out += bias`` then ``np.maximum(out, 0.0,
   out=out)`` on a freshly detached output computes exactly
   ``np.maximum(out + bias, 0.0)``.
-- *Threaded GEMM* (:class:`ThreadedBlasBackend`): the GEMM is split
-  over its leading tile-position/row axis only when the plan records
-  ``meta["gemm_partition_safe"]``.  Every quantized GEMM is
-  integer-exact in float, so the partition-dependent BLAS summation
-  order cannot change a bit.  The ``fp32_winograd`` GEMM is a *batched*
-  ``(T, N, C) @ (T, C, K)`` contraction: splitting it along T changes
-  which thread issues each per-slice dgemm but not the dgemm itself, so
-  the float results are partition-invariant.  The single 2D float GEMM
-  of ``fp32_direct`` has no such slice structure -- row-splitting
-  *could* change BLAS's blocking -- so it always runs serial.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Optional
 
 import numpy as np
 
@@ -72,19 +64,12 @@ from ..conv._tileops import gemm_result_to_tiles, tiles_to_gemm_operand
 from ..conv.im2col import conv_output_shape, im2col
 from ..quant import QuantParams, per_position_minmax_params, spatial_params_from_tensor
 from ..winograd import assemble_output, extract_tiles
-from .pool import get_pool
 
 __all__ = [
     "FUSED_ALGORITHMS",
     "PIPELINES",
     "FusedCall",
-    "KernelBackend",
-    "NumpyKernelBackend",
-    "ThreadedBlasBackend",
     "epilogue",
-    "resolve_backend",
-    "default_backend",
-    "available_backends",
 ]
 
 _INT8_MIN = int(np.iinfo(np.int8).min)
@@ -122,63 +107,6 @@ class FusedCall:
         layer of the same run included, since one arena serves them all."""
         if self.arena is not None and self.arena.aliases(out):
             return out.copy()
-        return out
-
-
-@runtime_checkable
-class KernelBackend(Protocol):
-    """Issues the GEMM of every fused pipeline.
-
-    ``gemm(plan, a, b, out)`` writes ``a @ b`` into ``out`` and returns
-    it; ``a`` is the ``(T, N, C)`` Winograd operand (``b`` then
-    ``(T, C, K)``) or the 2D im2col matrix (``b`` then 2D).
-    Implementations must be stateless per call (one backend instance is
-    shared by every session thread) and bit-identical to a serial
-    ``np.matmul`` -- the equivalence suite asserts this for every
-    registered backend.
-    """
-
-    name: str
-
-    def gemm(self, plan: Any, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray: ...
-
-
-class NumpyKernelBackend:
-    """Default backend: one serial ``np.matmul`` per GEMM."""
-
-    name = "numpy"
-
-    def gemm(self, plan, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.matmul(a, b, out=out)
-
-
-class ThreadedBlasBackend(NumpyKernelBackend):
-    """GEMM partitioned over the process-wide worker pool.
-
-    When the plan records ``meta["gemm_partition_safe"]`` the leading
-    axis (tile position T of the batched Winograd GEMM, output row of
-    the im2col GEMM) is split into contiguous ranges executed by the
-    drain-aware :class:`~repro.runtime.pool.WorkerPool`.  NumPy releases
-    the GIL inside BLAS, so partitions genuinely overlap.  Outputs are
-    bitwise those of the serial backend (see the module notes).
-    """
-
-    name = "threaded"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers
-
-    def gemm(self, plan, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if not plan.meta["gemm_partition_safe"]:
-            return super().gemm(plan, a, b, out)
-        pool = get_pool(self.workers)
-        tasks = a.shape[0]
-        batched = b.ndim == 3
-
-        def fn(start: int, stop: int) -> None:
-            np.matmul(a[start:stop], b[start:stop] if batched else b, out=out[start:stop])
-
-        pool.run_partitioned(fn, tasks, min(pool.workers, tasks) or 1)
         return out
 
 
@@ -257,11 +185,13 @@ def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
     return im2col(x, r, stride=layer.stride, out=cols), oh, ow
 
 
-def _gemm(
-    backend: KernelBackend, call: FusedCall, plan, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """``a @ b`` into the leased accumulator buffer, issued by ``backend``."""
-    return backend.gemm(plan, a, b, call.buf("z", a.shape[:-1] + b.shape[-1:], a.dtype))
+def _gemm(call: FusedCall, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` into the leased accumulator buffer.
+
+    ``a`` is the ``(T, N, C)`` Winograd operand (``b`` then
+    ``(T, C, K)``) or the 2D im2col matrix (``b`` then 2D).
+    """
+    return np.matmul(a, b, out=call.buf("z", a.shape[:-1] + b.shape[-1:], a.dtype))
 
 
 def _wrap_divide(call: FusedCall, plan, z: np.ndarray, denom) -> np.ndarray:
@@ -325,10 +255,10 @@ def epilogue(
 
 
 # -- pipelines ---------------------------------------------------------
-# Each takes (backend, call, plan, images, grid) -- ``grid`` is the
+# Each takes (call, plan, images, grid) -- ``grid`` is the
 # call's tile grid, None for the direct algorithms -- and returns the
 # output before the epilogue.
-def _lowino(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _lowino(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Winograd-domain quantization (Fig. 3): input_transform ->
     quantize -> gemm -> output_transform."""
     layer = plan.layer
@@ -350,7 +280,7 @@ def _lowino(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndar
     else:
         u, zbar = plan.operands["u_f64"], plan.operands["zbar_f64"]
     call.lap("quantize")
-    z = _gemm(backend, call, plan, v, u)
+    z = _gemm(call, v, u)
     z += zbar[:, None, :]
     call.lap("gemm")
     # Scatter the (still exact-integer) accumulators into tile layout
@@ -366,7 +296,7 @@ def _lowino(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndar
     return out
 
 
-def _int8_upcast(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Spatial quantization with an INT16 multiply (Fig. 2a): quantize ->
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
@@ -381,7 +311,7 @@ def _int8_upcast(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np
         if max_v > _INT16_MAX:
             raise OverflowError(f"transformed inputs overflow INT16 (max {max_v})")
     call.lap("input_transform")
-    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    z = _gemm(call, v, plan.operands["u_f64"])
     call.lap("gemm")
     k = z.shape[2]
     denom = (
@@ -396,7 +326,7 @@ def _int8_upcast(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np
     return out
 
 
-def _int8_downscale(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Spatial quantization with an INT8 multiply (Fig. 2b): quantize ->
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
@@ -408,7 +338,7 @@ def _int8_downscale(backend, call: FusedCall, plan, images: np.ndarray, grid) ->
     # saturate_cast(..., int8), elementwise on the same values.
     _round_clip(v, layer.input_downscale / (layer.bt_lcm**2), _INT8_MIN, _INT8_MAX, out=v)
     call.lap("input_transform")
-    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    z = _gemm(call, v, plan.operands["u_f64"])
     call.lap("gemm")
     k = z.shape[2]
     denom = (
@@ -423,7 +353,7 @@ def _int8_downscale(backend, call: FusedCall, plan, images: np.ndarray, grid) ->
     return out
 
 
-def _int8_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _int8_direct(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """im2col lowering: quantize -> input_transform (im2col) -> gemm ->
     output_transform (dequant + NHWC restore)."""
     layer = plan.layer
@@ -432,7 +362,7 @@ def _int8_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np
     call.lap("quantize")
     cols, oh, ow = _im2col(call, layer, x, images)
     call.lap("input_transform")
-    z = _gemm(backend, call, plan, cols, plan.operands["w_f64"].T)
+    z = _gemm(call, cols, plan.operands["w_f64"].T)
     call.lap("gemm")
     denom = params.scale * layer.weight_params.scale.reshape(1, z.shape[1])
     out = _nhwc_restore(_wrap_divide(call, plan, z, denom), images.shape[0], oh, ow)
@@ -440,28 +370,28 @@ def _int8_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np
     return out
 
 
-def _fp32_winograd(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _fp32_winograd(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Full-precision Winograd baseline (Eq. 1), replaying
     ``Fp32WinogradConv2d.__call__``: input_transform -> gemm ->
     output_transform."""
     layer = plan.layer
     v = _winograd_input(call, _pad(call, images, layer.padding), grid, layer.alg.bt)
     call.lap("input_transform")
-    z = _gemm(backend, call, plan, v, plan.operands["u_f64"])
+    z = _gemm(call, v, plan.operands["u_f64"])
     call.lap("gemm")
     out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
 
-def _fp32_direct(backend, call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
+def _fp32_direct(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Full-precision im2col baseline, replaying
     ``Fp32DirectConv2d.__call__``: input_transform (pad + im2col) ->
     gemm -> output_transform (NHWC restore)."""
     layer = plan.layer
     cols, oh, ow = _im2col(call, layer, _pad(call, images, layer.padding), images)
     call.lap("input_transform")
-    z = _gemm(backend, call, plan, cols, plan.operands["w_f64"].T)
+    z = _gemm(call, cols, plan.operands["w_f64"].T)
     call.lap("gemm")
     out = _nhwc_restore(z, images.shape[0], oh, ow)
     call.lap("output_transform")
@@ -483,37 +413,3 @@ PIPELINES = {
 
 FUSED_ALGORITHMS = tuple(PIPELINES)
 
-
-_BACKENDS = {
-    "numpy": NumpyKernelBackend,
-    "threaded": ThreadedBlasBackend,
-}
-
-_default_backend: Optional[NumpyKernelBackend] = None
-
-
-def available_backends() -> tuple:
-    """Registered backend names (CLI ``--backend`` choices)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def default_backend() -> NumpyKernelBackend:
-    """The process-wide default (pure-NumPy) backend."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = NumpyKernelBackend()
-    return _default_backend
-
-
-def resolve_backend(backend=None):
-    """Resolve ``None`` / a name / an instance into a backend object."""
-    if backend is None:
-        return default_backend()
-    if isinstance(backend, str):
-        cls = _BACKENDS.get(backend)
-        if cls is None:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; known: {available_backends()}"
-            )
-        return cls()
-    return backend

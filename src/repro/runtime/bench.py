@@ -196,7 +196,6 @@ def build_case_model(case: ModelCase):
 def run_model_bench(
     profile: BenchProfile = FULL_PROFILE,
     seed: int = SEED,
-    backend: Optional[str] = None,
     wisdom=None,
 ) -> List[dict]:
     """Whole-model compiled-vs-eager measurements (``model_cases``).
@@ -224,9 +223,7 @@ def run_model_bench(
         x = rng.standard_normal((case.batch, 3, case.hw, case.hw))
         if case.algorithm != "fp32":
             quantize_model(model, case.algorithm, m=case.m, calibration_batches=[x])
-        session = InferenceSession(
-            model, x.shape, collect_timings=False, backend=backend, wisdom=wisdom
-        )
+        session = InferenceSession(model, x.shape, collect_timings=False, wisdom=wisdom)
         y_compiled = session.run(x)  # warm: builds plans + grows the scratch arena
         y_eager = model(x)  # warm eager (engines already prepared)
         eager_s = _best_of(lambda: model(x), profile.model_repeats)
@@ -256,7 +253,6 @@ def run_bench(
     seed: int = SEED,
     engine: Optional[ExecutionEngine] = None,
     models: bool = True,
-    backend: Optional[str] = None,
     wisdom=None,
 ) -> dict:
     """Run the benchmark and return the ``BENCH_runtime.json`` document.
@@ -268,19 +264,9 @@ def run_bench(
     plan of the full profile at once -- a model's working set is
     resident in steady state, and benchmarking the eviction path would
     just add noise.
-
-    ``backend`` names the fused-stage kernel backend (``"numpy"`` /
-    ``"threaded"``; ``None`` = process default).  It is recorded in the
-    emitted document but deliberately *not* part of the baseline
-    compatibility key -- both backends are bitwise identical, so a
-    baseline gates any backend's ratios.
     """
     if engine is None:
-        engine = ExecutionEngine(cache=PlanCache(capacity=1024), backend=backend)
-    elif backend is not None:
-        from .backends import resolve_backend
-
-        engine.backend = resolve_backend(backend)
+        engine = ExecutionEngine(cache=PlanCache(capacity=1024))
     rng = np.random.default_rng(seed)
     layer_entries: List[dict] = []
     for name in profile.layers:
@@ -327,14 +313,13 @@ def run_bench(
             }
         )
     model_entries = (
-        run_model_bench(profile, seed=seed, backend=backend, wisdom=wisdom)
+        run_model_bench(profile, seed=seed, wisdom=wisdom)
         if models
         else []
     )
     return {
         "schema": SCHEMA_VERSION,
         "profile": asdict(profile),
-        "backend": engine.backend.name,
         "wisdom": wisdom is not None,
         "seed": seed,
         "numpy": np.__version__,

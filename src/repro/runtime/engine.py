@@ -12,12 +12,9 @@ loop anywhere.  The loop-based implementations stay available as
 All six algorithms -- the four quantized pipelines and the two FP32
 baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
 the engine builds the call's tile grid, leases a scratch arena from its
-own pool, and runs the algorithm's pipeline, whose GEMM is issued by the
-configured :class:`~repro.runtime.backends.KernelBackend`.  The default
-backend is a serial ``np.matmul``; a threaded-BLAS backend partitions
-the GEMM across the :class:`~repro.runtime.pool.WorkerPool`.  All
-backends are bitwise identical to the reference layers (see the
-bit-identity notes in :mod:`repro.runtime.backends`).
+own pool, and runs the algorithm's pipeline, whose GEMM is one serial
+``np.matmul``.  Every pipeline is bitwise identical to its reference
+layer (see the bit-identity notes in :mod:`repro.runtime.backends`).
 
 Exactness contract
 ------------------
@@ -48,7 +45,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..winograd import tile_grid
-from .backends import FUSED_ALGORITHMS, PIPELINES, FusedCall, epilogue, resolve_backend
+from .backends import FUSED_ALGORITHMS, PIPELINES, FusedCall, epilogue
 from .cache import PlanCache, default_cache
 from .plan import ConvPlan, ScratchPool, get_plan
 
@@ -71,11 +68,6 @@ class ExecutionEngine:
     the largest call, and reports contention via its
     :class:`~repro.runtime.plan.LeaseStats`.
 
-    ``backend`` selects the backend that issues every pipeline's GEMM:
-    ``None`` (the process default pure-NumPy backend), a
-    registered name (``"numpy"``, ``"threaded"``), or a
-    :class:`~repro.runtime.backends.KernelBackend` instance.
-
     ``tracer`` (a :class:`~repro.obs.tracer.StageTracer`) lap-times the
     fused pipelines per stage -- input transform, quantize, GEMM, output
     transform, epilogue -- consecutive laps tiling each call exactly.
@@ -88,12 +80,10 @@ class ExecutionEngine:
         cache: Optional[PlanCache] = None,
         use_scratch: bool = True,
         tracer: Optional[Any] = None,
-        backend: Optional[Any] = None,
     ):
         self.cache = cache if cache is not None else default_cache()
         self.use_scratch = use_scratch
         self.tracer = tracer
-        self.backend = resolve_backend(backend)
         self.scratch = ScratchPool()
 
     def _active_tracer(self):
@@ -156,7 +146,7 @@ class ExecutionEngine:
         arena = self.scratch.acquire() if self.use_scratch else None
         try:
             call = FusedCall(arena, tr, t0)
-            out = PIPELINES[plan.algorithm](self.backend, call, plan, images, grid)
+            out = PIPELINES[plan.algorithm](call, plan, images, grid)
             return epilogue(call, out, bias, relu)
         finally:
             if arena is not None:

@@ -354,18 +354,10 @@ def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
       When it stays within INT32 (``z_wrap_free``), the reference's
       wrap-on-overflow ``astype(np.int32)`` is the identity and the
       fused pipelines divide the float64 accumulators directly.
-    - ``gemm_partition_safe``: whether the GEMM may be split along its
-      leading axis without moving a bit.  Every quantized GEMM is
-      integer-exact in float, so any summation order gives the same
-      result.  The FP32 baselines carry genuinely inexact float
-      accumulations (``float_gemm``).  The fp32_winograd GEMM is a
-      batched (T, N, C) @ (T, C, K) contraction -- splitting along T
-      reassigns whole per-slice dgemms (same operands, dims, strides per
-      slice), so the float results are partition-invariant.  The
-      fp32_direct GEMM is one 2D matmul whose row-split could change
-      BLAS blocking, hence summation order: never partitioned.
+
+    LoWino and the FP32 baselines need no bound (their meta is empty).
     """
-    meta: Dict[str, Any] = {"gemm_partition_safe": algorithm != "fp32_direct"}
+    meta: Dict[str, Any] = {}
     int16_max = int(np.iinfo(np.int16).max)
     int32_max = int(np.iinfo(np.int32).max)
     qabs = 1 << (getattr(layer, "bits", 8) - 1)
@@ -388,8 +380,6 @@ def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
         w_col = _abs_colsum_max(layer.filters_q.reshape(k, -1), axis=1)
         meta["z_bound"] = qabs * w_col
         meta["z_wrap_free"] = meta["z_bound"] <= int32_max
-    elif algorithm in ("fp32_winograd", "fp32_direct"):
-        meta["float_gemm"] = True
     return meta
 
 

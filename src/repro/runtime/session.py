@@ -67,7 +67,6 @@ class InferenceSession:
         collect_timings: bool = True,
         tracer: Optional[StageTracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        backend: Optional[object] = None,
         wisdom: Optional[object] = None,
         selector: Optional[object] = None,
         tune: bool = False,
@@ -89,27 +88,19 @@ class InferenceSession:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         if engine is None:
-            # ``backend`` selects the fused-stage kernel backend
-            # ("numpy" / "threaded" / an instance); None = process default.
-            engine = ExecutionEngine(cache=cache, tracer=tracer, backend=backend)
-        else:
-            if tracer is not None:
-                engine.tracer = tracer
-            if backend is not None:
-                from .backends import resolve_backend
-
-                engine.backend = resolve_backend(backend)
+            engine = ExecutionEngine(cache=cache, tracer=tracer)
+        elif tracer is not None:
+            engine.tracer = tracer
         self.engine = engine
         if tracer is not None:
             self.registry.register_collector(tracer.collect)
         #: Algorithm selector (wisdom-driven planning).  ``wisdom`` is a
-        #: convenience: a path / WisdomFile builds a selector matching
-        #: this session's kernel backend.  Lazy import keeps plain
-        #: sessions free of the tuning layer.
+        #: convenience: a path / WisdomFile builds a default selector.
+        #: Lazy import keeps plain sessions free of the tuning layer.
         if selector is None and wisdom is not None:
             from ..tuning.selector import AlgorithmSelector
 
-            selector = AlgorithmSelector(wisdom=wisdom, backend=self.engine.backend)
+            selector = AlgorithmSelector(wisdom=wisdom)
         self.selector = selector
         #: Bumped by :meth:`refresh_selection` whenever a conv was
         #: re-lowered to a newly landed wisdom choice.

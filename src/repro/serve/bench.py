@@ -86,9 +86,6 @@ class ServeBenchConfig:
     max_delay_ms: float = 5.0
     queue_size: int = 256
     workers: int = 1
-    #: Fused-stage kernel backend the served session executes on
-    #: (:func:`repro.runtime.backends.available_backends`).
-    backend: str = "numpy"
     seed: int = SEED
     #: Optional wisdom-file path: the served session applies its
     #: per-geometry algorithm choices at lowering time (``repro tune``
@@ -109,8 +106,7 @@ def _build_session(cfg: ServeBenchConfig):
         quantize_model(model, cfg.algorithm, m=cfg.m, calibration_batches=[calib])
     input_shape = (cfg.request_batch, 3, cfg.hw, cfg.hw)
     session = InferenceSession(
-        model, input_shape, collect_timings=False, backend=cfg.backend,
-        wisdom=cfg.wisdom,
+        model, input_shape, collect_timings=False, wisdom=cfg.wisdom
     )
     return model, session
 
@@ -313,7 +309,6 @@ class ProcBenchConfig:
     max_batch: int = 16
     max_delay_ms: float = 5.0
     queue_size: int = 256
-    backend: str = "numpy"
     #: Tensor transport: "auto" (shared-memory slabs when available),
     #: "shm", or "pipe".
     transport: str = "auto"
@@ -376,7 +371,6 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
                 max_batch=cfg.max_batch,
                 max_delay_ms=cfg.max_delay_ms,
                 queue_size=cfg.queue_size,
-                backend=cfg.backend,
                 wisdom=wisdom_path,
                 tune_workers=cfg.wisdom,
                 transport=cfg.transport,
@@ -391,7 +385,7 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
                     if wisdom_path is not None:
                         InferenceSession(
                             model, input_shape, collect_timings=False,
-                            backend=cfg.backend, wisdom=wisdom_path,
+                            wisdom=wisdom_path,
                         )
                     expected = [[model(x) for x in reqs] for reqs in inputs]
                 server.infer("bench", inputs[0][0], timeout=60.0)
@@ -463,7 +457,7 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
 #: meaningful (same model, geometry, and sweep).
 _PROC_CONFIG_KEYS = (
     "model", "algorithm", "width", "hw", "m", "request_batch",
-    "requests_per_thread", "client_threads", "procs", "backend", "wisdom",
+    "requests_per_thread", "client_threads", "procs", "wisdom",
 )
 
 

@@ -282,7 +282,6 @@ def _worker_main(conn, worker_id: int, options: Dict[str, object]) -> None:
                     model,
                     tuple(input_shape),
                     collect_timings=False,
-                    backend=options.get("backend"),
                     wisdom=options.get("wisdom"),
                     tune=bool(kw.get("tune", options.get("tune", False))),
                     cache_eviction="lfu",
@@ -460,7 +459,6 @@ class ProcPool:
         self,
         procs: int,
         mp_context: str = "spawn",
-        backend: Optional[str] = None,
         wisdom: Optional[object] = None,
         tune: bool = False,
         transport: str = "auto",
@@ -479,7 +477,6 @@ class ProcPool:
         self.health_interval_s = health_interval_s
         self._ctx = multiprocessing.get_context(mp_context)
         self._options = {
-            "backend": backend,
             "wisdom": str(wisdom) if wisdom is not None else None,
             "tune": tune,
         }

@@ -124,7 +124,6 @@ class ProcServer(Server):
         workers_per_model: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         mp_context: str = "spawn",
-        backend: Optional[str] = None,
         wisdom: Optional[object] = None,
         tune_workers: bool = False,
         transport: str = "auto",
@@ -145,7 +144,6 @@ class ProcServer(Server):
         self._pool = ProcPool(
             procs,
             mp_context=mp_context,
-            backend=backend,
             wisdom=wisdom,
             tune=tune_workers,
             transport=transport,

@@ -97,7 +97,7 @@ class BackgroundTuner:
         """First ``(geometry, family)`` whose wisdom has no entry yet.
 
         Every deployed conv is a tuning target in its own family:
-        quantized convs under their plain backend key, full-precision
+        quantized convs under their plain key, full-precision
         convs (``engine is None`` or an fp32 engine) under the
         family-qualified fp32 key.
         """
@@ -117,7 +117,7 @@ class BackgroundTuner:
                 geom = ConvGeometry.of_conv(
                     step.node.layer, graph.in_shape(step.node)
                 )
-                key = geom.key(self.selector.backend_name, family=family)
+                key = geom.key(family=family)
                 if wisdom is None or wisdom.lookup_algorithm(key) is None:
                     return geom, family
         return None
@@ -170,7 +170,7 @@ class BackgroundTuner:
         with self._events_lock:
             self.events.append(
                 {
-                    "key": geom.key(self.selector.backend_name, family=family),
+                    "key": geom.key(family=family),
                     "family": family,
                     "selected": result.label,
                     "source": result.source,

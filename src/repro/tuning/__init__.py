@@ -13,7 +13,7 @@ from .selector import (
     model_geometries,
     swap_preserves_calibration,
 )
-from .wisdom import DEFAULT_BACKEND, SCHEMA_VERSION, WisdomFile, problem_key
+from .wisdom import KEY_NAMESPACE, SCHEMA_VERSION, WisdomFile, problem_key
 
 __all__ = [
     "LayerChoice",
@@ -34,6 +34,6 @@ __all__ = [
     "swap_preserves_calibration",
     "WisdomFile",
     "problem_key",
-    "DEFAULT_BACKEND",
+    "KEY_NAMESPACE",
     "SCHEMA_VERSION",
 ]

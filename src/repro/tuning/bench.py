@@ -59,7 +59,6 @@ class TuneBenchConfig:
     batch: int = 2
     repeats: int = 2
     seed: int = 2021
-    backend: str = "numpy"
     family: str = "quantized"
 
 
@@ -88,14 +87,12 @@ def run_tune_bench(
         wisdom = Path(tmpdir.name) / "wisdom.json"
     if not isinstance(wisdom, WisdomFile):
         wisdom = WisdomFile(wisdom)
-    selector = AlgorithmSelector(
-        wisdom=wisdom, backend=cfg.backend, repeats=cfg.repeats, seed=cfg.seed
-    )
+    selector = AlgorithmSelector(wisdom=wisdom, repeats=cfg.repeats, seed=cfg.seed)
 
     # Unique geometries, first-seen order, with every conv path using each.
     unique: Dict[str, dict] = {}
     for path, _conv, geom in model_geometries(model, input_shape):
-        key = geom.key(selector.backend_name, family=cfg.family)
+        key = geom.key(family=cfg.family)
         slot = unique.setdefault(key, {"geometry": geom, "paths": []})
         slot["paths"].append(path)
 
@@ -133,7 +130,6 @@ def run_tune_bench(
     doc = {
         "schema": SCHEMA_VERSION,
         "config": asdict(cfg),
-        "backend": selector.backend_name,
         "numpy": np.__version__,
         "machine": platform.machine(),
         "geometries": rows,
@@ -154,9 +150,7 @@ def run_tune_bench(
 
 
 #: Config fields that must match for a baseline comparison to be valid.
-_COMPAT_KEYS = (
-    "model", "width", "hw", "batch", "repeats", "seed", "backend", "family",
-)
+_COMPAT_KEYS = ("model", "width", "hw", "batch", "repeats", "seed", "family")
 
 
 def check_tuning_gate(
@@ -222,7 +216,7 @@ def format_tune_bench(doc: dict) -> str:
     lines = [
         f"Algorithm selection sweep -- model={cfg['model']} "
         f"batch={cfg['batch']} hw={cfg['hw']} width={cfg['width']} "
-        f"backend={doc['backend']} repeats={cfg['repeats']} seed={cfg['seed']} "
+        f"repeats={cfg['repeats']} seed={cfg['seed']} "
         f"family={cfg.get('family', 'quantized')}",
         f"{'geometry':34s} {'convs':>5s} {'static':>16s} {'selected':>16s} "
         f"{'ratio':>6s} {'source':>8s}",

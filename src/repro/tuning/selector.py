@@ -7,8 +7,8 @@ analytic cost model at quantize time, :class:`AlgorithmSelector` runs a
 short seeded measurement of every candidate the Winograd error budget
 admits, picks the fastest, and records the choice in the shared
 :class:`~repro.tuning.wisdom.WisdomFile` -- so the decision is made
-once per (geometry, backend) on the deployment host and every later
-session (and every worker sharing the wisdom file) reuses it.
+once per geometry on the deployment host and every later session (and
+every worker sharing the wisdom file) reuses it.
 
 Candidate admission is budget-gated, not guessed: an F(m, 3) tile is a
 candidate only if ``quant_error_model(winograd_algorithm(m, 3))``
@@ -46,7 +46,7 @@ import numpy as np
 from ..perf import CASCADE_LAKE_8C, predict_layer_times
 from ..winograd import quant_error_model, winograd_algorithm
 from ..workloads import LayerConfig
-from .wisdom import DEFAULT_BACKEND, WisdomFile
+from .wisdom import KEY_NAMESPACE, WisdomFile
 
 __all__ = [
     "ConvGeometry",
@@ -114,16 +114,16 @@ class ConvGeometry:
     stride: int = 1
     padding: int = 1
 
-    def key(self, backend: str = DEFAULT_BACKEND, family: str = "quantized") -> str:
-        """Wisdom key: backend-namespaced geometry signature.
+    def key(self, family: str = "quantized") -> str:
+        """Wisdom key: the namespaced geometry signature.
 
-        The fp32 family gets its own namespace segment so a geometry
-        tuned in both families holds two independent entries; quantized
-        keys are unchanged from wisdom v2 (no migration needed).
+        The fp32 family gets its own segment so a geometry tuned in both
+        families holds two independent entries; quantized keys are
+        unchanged from wisdom v2 (no migration needed).
         """
-        prefix = f"{backend}|" if family == "quantized" else f"{backend}|{family}|"
+        prefix = KEY_NAMESPACE if family == "quantized" else f"{KEY_NAMESPACE}|{family}"
         return (
-            f"{prefix}b{self.batch}c{self.c}h{self.h}w{self.w}"
+            f"{prefix}|b{self.batch}c{self.c}h{self.h}w{self.w}"
             f"k{self.k}r{self.r}s{self.stride}p{self.padding}"
         )
 
@@ -199,7 +199,6 @@ class SelectionResult:
     """Outcome of selecting an algorithm for one geometry."""
 
     geometry: ConvGeometry
-    backend: str
     algorithm: str
     m: int
     #: Best-of measured seconds per candidate label (empty for a purely
@@ -340,18 +339,13 @@ class AlgorithmSelector:
     def __init__(
         self,
         wisdom: Optional[WisdomFile | str] = None,
-        backend: Optional[object] = None,
         repeats: int = 3,
         seed: int = DEFAULT_SEED,
         min_snr_db: float = DEFAULT_MIN_SNR_DB,
     ) -> None:
-        from ..runtime.backends import resolve_backend
-
         if wisdom is not None and not isinstance(wisdom, WisdomFile):
             wisdom = WisdomFile(wisdom)
         self.wisdom = wisdom
-        self.backend = resolve_backend(backend)
-        self.backend_name = getattr(self.backend, "name", DEFAULT_BACKEND)
         self.repeats = max(1, int(repeats))
         self.seed = int(seed)
         self.min_snr_db = float(min_snr_db)
@@ -364,9 +358,7 @@ class AlgorithmSelector:
 
             # Private cache: measurement plans must not evict or alias a
             # serving session's plans.
-            self._engine = ExecutionEngine(
-                cache=PlanCache(capacity=256), backend=self.backend
-            )
+            self._engine = ExecutionEngine(cache=PlanCache(capacity=256))
         return self._engine
 
     def static_choice(self, geom: ConvGeometry, family: str = "quantized") -> Tuple[str, int]:
@@ -434,8 +426,7 @@ class AlgorithmSelector:
         best_label = min(measured, key=measured.get)
         algorithm, m = _parse_label(best_label)
         return SelectionResult(
-            geometry=geom, backend=self.backend_name,
-            algorithm=algorithm, m=m, measured=measured,
+            geometry=geom, algorithm=algorithm, m=m, measured=measured,
             static=_label(*static), source="measured",
         )
 
@@ -454,7 +445,7 @@ class AlgorithmSelector:
         disturb existing engine state.  ``family`` namespaces both the
         candidate set and the wisdom key (see :data:`FAMILIES`).
         """
-        key = geom.key(self.backend_name, family=family)
+        key = geom.key(family=family)
         if self.wisdom is not None:
             self.wisdom.refresh()
             entry = self.wisdom.lookup_algorithm(key)
@@ -463,8 +454,7 @@ class AlgorithmSelector:
         if not measure:
             algorithm, m = self.static_choice(geom, family=family)
             return SelectionResult(
-                geometry=geom, backend=self.backend_name,
-                algorithm=algorithm, m=m,
+                geometry=geom, algorithm=algorithm, m=m,
                 static=_label(algorithm, m), source="static",
             )
         result = self.measure(geom, abort=abort, family=family)
@@ -479,8 +469,7 @@ class AlgorithmSelector:
 
     def _from_entry(self, geom: ConvGeometry, entry: dict) -> SelectionResult:
         return SelectionResult(
-            geometry=geom, backend=self.backend_name,
-            algorithm=str(entry["algorithm"]), m=int(entry["m"]),
+            geometry=geom, algorithm=str(entry["algorithm"]), m=int(entry["m"]),
             measured={k: float(v) for k, v in entry.get("measured", {}).items()},
             static=str(entry.get("static", "")), source="wisdom",
         )

@@ -5,17 +5,19 @@ inference".  The wisdom file here is a versioned JSON document with two
 namespaced sections:
 
 * ``gemm`` -- tuned :class:`~repro.gemm.BlockingParams` keyed by
-  ``<backend>|TxNxCxK`` (the GEMM problem signature); entries
-  round-trip exactly.
+  ``numpy|TxNxCxK`` (the GEMM problem signature); entries round-trip
+  exactly.
 * ``algorithms`` -- measured per-geometry algorithm selections written
   by :class:`~repro.tuning.selector.AlgorithmSelector`, keyed by
-  ``<backend>|b{B}c{C}h{H}w{W}k{K}r{R}s{S}p{P}``.
+  ``numpy|b{B}c{C}h{H}w{W}k{K}r{R}s{S}p{P}`` (quantized family) or
+  ``numpy|fp32|b...`` (fp32 family).
 
-The kernel backend is part of every key: threaded-BLAS and pure-NumPy
-timings must never share (and poison) one entry.  Legacy flat files
-(schema 1: an un-namespaced ``{"TxNxCxK": {...}}`` mapping with no
-backend) are migrated transparently on load -- their keys land in the
-``gemm`` section under the default backend.
+Every key starts with :data:`KEY_NAMESPACE` (``"numpy"``, the runtime's
+one GEMM path).  Entries under any other namespace are kept and written
+back untouched but never answer a lookup.  Legacy flat files (schema 1:
+an un-namespaced ``{"TxNxCxK": {...}}`` mapping) are migrated
+transparently on load -- their keys land in the ``gemm`` section under
+:data:`KEY_NAMESPACE`.
 
 Durability and sharing:
 
@@ -59,27 +61,25 @@ except ImportError:  # pragma: no cover - non-POSIX
 from ..gemm import BlockingParams
 from .search import TuneResult, tune_gemm
 
-__all__ = ["WisdomFile", "problem_key", "SCHEMA_VERSION", "DEFAULT_BACKEND"]
+__all__ = ["WisdomFile", "problem_key", "SCHEMA_VERSION", "KEY_NAMESPACE"]
 
-#: Current on-disk schema.  Version 1 was the flat, backend-less GEMM
-#: mapping; version 2 namespaces sections and folds the backend into
-#: every key.
+#: Current on-disk schema.  Version 1 was the flat, un-namespaced GEMM
+#: mapping; version 2 splits sections and prefixes every key with
+#: :data:`KEY_NAMESPACE`.
 SCHEMA_VERSION = 2
 
-#: Backend legacy (schema 1) entries are attributed to, and the default
-#: when callers do not say otherwise -- the pure-NumPy kernel backend,
-#: which is what produced all pre-schema-2 wisdom.
-DEFAULT_BACKEND = "numpy"
+#: First segment of every wisdom key, legacy (schema 1) entries included.
+KEY_NAMESPACE = "numpy"
 
 
-def problem_key(t: int, n: int, c: int, k: int, backend: str = DEFAULT_BACKEND) -> str:
-    """GEMM problem key, namespaced by kernel backend."""
-    return f"{backend}|{t}x{n}x{c}x{k}"
+def problem_key(t: int, n: int, c: int, k: int) -> str:
+    """GEMM problem key."""
+    return f"{KEY_NAMESPACE}|{t}x{n}x{c}x{k}"
 
 
 def _qualify(key: str) -> str:
     """Schema-2 form of a possibly-legacy key."""
-    return key if "|" in key else f"{DEFAULT_BACKEND}|{key}"
+    return key if "|" in key else f"{KEY_NAMESPACE}|{key}"
 
 
 def _read_doc(path: Path) -> Tuple[Dict[str, dict], Dict[str, dict]]:
@@ -88,7 +88,7 @@ def _read_doc(path: Path) -> Tuple[Dict[str, dict], Dict[str, dict]]:
     A missing, corrupt, or non-dict file is an empty wisdom file (with
     a warning for the corrupt cases -- losing tuning time silently
     would be worse than the noise).  Legacy flat documents migrate into
-    the ``gemm`` section under :data:`DEFAULT_BACKEND`.
+    the ``gemm`` section under :data:`KEY_NAMESPACE`.
     """
     try:
         raw = path.read_text()
@@ -112,7 +112,7 @@ def _read_doc(path: Path) -> Tuple[Dict[str, dict], Dict[str, dict]]:
             dict(gemm) if isinstance(gemm, dict) else {},
             dict(algorithms) if isinstance(algorithms, dict) else {},
         )
-    # Legacy schema 1: flat {TxNxCxK: {...}} with no backend namespace.
+    # Legacy schema 1: flat {TxNxCxK: {...}} with no namespace.
     return {_qualify(key): entry for key, entry in doc.items()}, {}
 
 
@@ -138,28 +138,18 @@ class WisdomFile:
 
     # -- GEMM blocking section -------------------------------------------
 
-    def lookup(
-        self, t: int, n: int, c: int, k: int, backend: str = DEFAULT_BACKEND
-    ) -> Optional[BlockingParams]:
+    def lookup(self, t: int, n: int, c: int, k: int) -> Optional[BlockingParams]:
         with self._mutex:
-            entry = self._gemm.get(problem_key(t, n, c, k, backend))
+            entry = self._gemm.get(problem_key(t, n, c, k))
         if entry is None:
             return None
         params = BlockingParams(**entry["params"])
         params.validate()
         return params
 
-    def store(
-        self,
-        t: int,
-        n: int,
-        c: int,
-        k: int,
-        result: TuneResult,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
+    def store(self, t: int, n: int, c: int, k: int, result: TuneResult) -> None:
         with self._mutex:
-            self._gemm[problem_key(t, n, c, k, backend)] = {
+            self._gemm[problem_key(t, n, c, k)] = {
                 "params": asdict(result.params),
                 "predicted_time": result.predicted_time,
             }
@@ -167,44 +157,29 @@ class WisdomFile:
             if self._batch_depth == 0:
                 self._flush()
 
-    def store_many(
-        self,
-        items: Iterable[Tuple[int, int, int, int, TuneResult]],
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
+    def store_many(self, items: Iterable[Tuple[int, int, int, int, TuneResult]]) -> None:
         """Store a whole sweep with one read-merge-write."""
         with self.batch():
             for t, n, c, k, result in items:
-                self.store(t, n, c, k, result, backend=backend)
+                self.store(t, n, c, k, result)
 
-    def lookup_or_tune(
-        self,
-        t: int,
-        n: int,
-        c: int,
-        k: int,
-        backend: str = DEFAULT_BACKEND,
-        **tune_kwargs,
-    ) -> BlockingParams:
-        cached = self.lookup(t, n, c, k, backend=backend)
+    def lookup_or_tune(self, t: int, n: int, c: int, k: int, **tune_kwargs) -> BlockingParams:
+        cached = self.lookup(t, n, c, k)
         if cached is not None:
             return cached
         result = tune_gemm(t, n, c, k, **tune_kwargs)
-        self.store(t, n, c, k, result, backend=backend)
+        self.store(t, n, c, k, result)
         return result.params
 
     def lookup_or_tune_many(
-        self,
-        problems: Sequence[Tuple[int, int, int, int]],
-        backend: str = DEFAULT_BACKEND,
-        **tune_kwargs,
+        self, problems: Sequence[Tuple[int, int, int, int]], **tune_kwargs
     ) -> List[BlockingParams]:
         """Sweep :meth:`lookup_or_tune` over ``problems`` with a single
         batched flush at the end (instead of one full-file rewrite per
         newly tuned problem)."""
         with self.batch():
             return [
-                self.lookup_or_tune(t, n, c, k, backend=backend, **tune_kwargs)
+                self.lookup_or_tune(t, n, c, k, **tune_kwargs)
                 for t, n, c, k in problems
             ]
 

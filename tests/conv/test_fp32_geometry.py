@@ -103,14 +103,13 @@ def test_direct_layer_output_is_nhwc_backed():
     assert y.strides == (oh * ow * k * 8, 8, ow * k * 8, k * 8)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "threaded"])
-def test_fused_engine_matches_layer_stride2(backend):
+def test_fused_engine_matches_layer_stride2():
     """The fused fp32_direct kernels honour the same shape contract on
     the engine path, bitwise, including stride 2 under padding."""
     from repro.runtime.cache import PlanCache
     from repro.runtime.engine import ExecutionEngine
 
     x, wts = _inputs("fused-stride2", 2, 2, 3, 9, 5)
-    engine = ExecutionEngine(cache=PlanCache(capacity=64), backend=backend)
+    engine = ExecutionEngine(cache=PlanCache(capacity=64))
     layer = engine.layer(wts, "fp32_direct", padding=1, stride=2)
     np.testing.assert_array_equal(layer(x), layer.reference(x))

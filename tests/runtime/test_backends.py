@@ -1,16 +1,13 @@
-"""Fused pipelines and GEMM backends: the bitwise contract, on every backend.
+"""Fused pipelines: the bitwise contract.
 
 ``repro.runtime.backends`` runs each algorithm as one pipeline composed
-from shared stage primitives; the backend only issues the GEMM.  The
-contract is that *every* registered backend -- the serial NumPy default
-and the worker-pool threaded-BLAS variant -- produces bit-for-bit the
-output of the reference layers, for every fused algorithm, on every
-edge geometry, under concurrency, with or without the plan-time bound
-shortcuts (`v16_ok` / `z_wrap_free`) engaged, and that every pipeline
-laps the stage tracer at the same boundaries.
+from shared stage primitives, with the GEMM as one serial ``np.matmul``.
+The contract is that every pipeline produces bit-for-bit the output of
+its reference layer, on every edge geometry, with or without the
+plan-time bound shortcuts (`v16_ok` / `z_wrap_free`) engaged, and that
+every pipeline laps the stage tracer at the same boundaries.
+Shared-session stress runs in ``tests/runtime/test_concurrency.py``.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,19 +16,9 @@ from repro.conformance.space import enumerate_edge_configs, make_inputs
 from repro.nn import Conv2d, ReLU, Sequential
 from repro.nn.quantize import dequantize_model, quantize_model
 from repro.runtime import ExecutionEngine, InferenceSession, PlanCache
-from repro.runtime.backends import (
-    FUSED_ALGORITHMS,
-    KernelBackend,
-    NumpyKernelBackend,
-    ThreadedBlasBackend,
-    available_backends,
-    default_backend,
-    resolve_backend,
-)
+from repro.runtime.backends import FUSED_ALGORITHMS
 from repro.runtime.bench import ModelCase, build_case_model
-from repro.runtime.pool import get_pool
 
-BACKENDS = sorted(available_backends())
 EDGE_CONFIGS = enumerate_edge_configs()
 
 
@@ -40,58 +27,27 @@ def rng():
     return np.random.default_rng(42)
 
 
-def _engine(backend):
-    return ExecutionEngine(cache=PlanCache(capacity=512), backend=backend)
-
-
-class TestRegistry:
-    def test_available_backends(self):
-        assert "numpy" in BACKENDS and "threaded" in BACKENDS
-
-    def test_resolve_by_name_and_instance(self):
-        numpy_backend = resolve_backend("numpy")
-        assert isinstance(numpy_backend, NumpyKernelBackend)
-        assert isinstance(resolve_backend("threaded"), ThreadedBlasBackend)
-        assert resolve_backend(numpy_backend) is numpy_backend
-        assert resolve_backend(None) is default_backend()
-
-    def test_resolve_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("simd")
-
-    def test_backends_satisfy_protocol(self):
-        assert isinstance(NumpyKernelBackend(), KernelBackend)
-        assert isinstance(ThreadedBlasBackend(), KernelBackend)
-
-    def test_session_backend_knob(self, rng):
-        model = Sequential([Conv2d(rng.standard_normal((4, 3, 3, 3)) * 0.1,
-                                   padding=1, name="c")])
-        quantize_model(model, "lowino", m=2,
-                       calibration_batches=[np.abs(rng.standard_normal((2, 3, 8, 8)))])
-        session = InferenceSession(model, (2, 3, 8, 8), backend="threaded")
-        assert session.engine.backend.name == "threaded"
+def _engine():
+    return ExecutionEngine(cache=PlanCache(capacity=512))
 
 
 class TestEdgeGridBitIdentity:
-    """Both backends x all fused algorithms x the conformance edge grid."""
+    """All fused algorithms x the conformance edge grid."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
     @pytest.mark.parametrize("config", EDGE_CONFIGS, ids=lambda c: c.describe())
-    def test_matches_reference_layer(self, backend, algorithm, config):
+    def test_matches_reference_layer(self, algorithm, config):
         x, w = make_inputs(config)
-        layer = _engine(backend).layer(w, algorithm, m=config.m,
-                                       padding=config.padding)
+        layer = _engine().layer(w, algorithm, m=config.m, padding=config.padding)
         np.testing.assert_array_equal(layer(x), layer.reference(x))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
-    def test_fused_epilogue_is_bitwise(self, backend, algorithm, rng):
+    def test_fused_epilogue_is_bitwise(self, algorithm, rng):
         """engine.execute(bias=..., relu=True) == max(y + bias, 0)."""
         config = EDGE_CONFIGS[-1]
         x, w = make_inputs(config)
         bias = rng.standard_normal(w.shape[0])
-        engine = _engine(backend)
+        engine = _engine()
         layer = engine.layer(w, algorithm, m=config.m, padding=config.padding)
         fused = engine.execute(layer.plan, x, bias=bias, relu=True)
         plain = np.maximum(layer(x) + bias[None, :, None, None], 0.0)
@@ -99,13 +55,12 @@ class TestEdgeGridBitIdentity:
 
 
 class TestModelBitIdentity:
-    """Compiled-vs-eager, whole networks, both backends.
+    """Compiled-vs-eager, whole networks.
 
     ``resnet`` covers stride-2 downsampling convs; the local strided
     model pins a stride-2 stem straight through ``int8_direct``.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", [
         ModelCase("vgg", "auto", batch=2, hw=16, width=8, m=2),
         ModelCase("resnet", "auto", batch=2, hw=16, width=8, m=2),
@@ -114,19 +69,18 @@ class TestModelBitIdentity:
         ModelCase("vgg", "int8_upcast", batch=2, hw=16, width=8, m=2),
         ModelCase("vgg", "int8_downscale", batch=2, hw=16, width=8, m=2),
     ], ids=lambda c: c.case_name)
-    def test_compiled_equals_eager(self, backend, case, rng):
+    def test_compiled_equals_eager(self, case, rng):
         model = build_case_model(case)
         calib = np.maximum(rng.standard_normal((2, 3, case.hw, case.hw)), 0)
         quantize_model(model, case.algorithm, m=case.m,
                        calibration_batches=[calib])
         x = rng.standard_normal((case.batch, 3, case.hw, case.hw))
-        session = InferenceSession(model, x.shape, backend=backend)
+        session = InferenceSession(model, x.shape)
         np.testing.assert_array_equal(session.run(x), model(x))
         dequantize_model(model)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
-    def test_strided_conv(self, backend, algorithm, rng):
+    def test_strided_conv(self, algorithm, rng):
         if algorithm != "int8_direct":
             pytest.skip("stride > 1 lowers onto the direct path only")
         model = Sequential([
@@ -139,7 +93,7 @@ class TestModelBitIdentity:
         calib = np.maximum(rng.standard_normal((2, 3, 16, 16)), 0)
         quantize_model(model, algorithm, m=2, calibration_batches=[calib])
         x = rng.standard_normal((2, 3, 16, 16))
-        session = InferenceSession(model, x.shape, backend=backend)
+        session = InferenceSession(model, x.shape)
         np.testing.assert_array_equal(session.run(x), model(x))
 
 
@@ -151,7 +105,7 @@ class TestPlanMetaBounds:
         return engine.layer(w, "int8_upcast", m=2, padding=1)
 
     def test_upcast_meta_present(self, rng):
-        layer = self._upcast_layer(_engine("numpy"), rng)
+        layer = self._upcast_layer(_engine(), rng)
         meta = layer.plan.meta
         assert meta["v16_ok"] is True  # m=2: |B^T d B| <= 128 * 4^2 = 2048
         assert meta["v_bound"] >= 1
@@ -159,7 +113,7 @@ class TestPlanMetaBounds:
 
     def test_v_bound_is_sound(self, rng):
         """The analytic bound dominates the runtime reduction it replaces."""
-        engine = _engine("numpy")
+        engine = _engine()
         layer = self._upcast_layer(engine, rng)
         ref = layer.reference
         x = np.maximum(rng.standard_normal((2, 4, 12, 12)), 0)
@@ -175,12 +129,11 @@ class TestPlanMetaBounds:
         v = np.einsum("ij,bcxyjk,kl->bcxyil", ref.bt_int, tiles, ref.bt_int.T)
         assert int(np.abs(v).max()) <= layer.plan.meta["v_bound"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("flag", ["v16_ok", "z_wrap_free"])
-    def test_disabled_shortcuts_stay_bitwise(self, backend, flag, rng):
+    def test_disabled_shortcuts_stay_bitwise(self, flag, rng):
         """Forcing the runtime fallback (abs-max check / int32 wrap cast)
         must not change a single bit when no overflow actually occurs."""
-        engine = _engine(backend)
+        engine = _engine()
         layer = self._upcast_layer(engine, rng)
         x = np.maximum(rng.standard_normal((2, 4, 12, 12)), 0)
         fast = layer(x).copy()
@@ -191,7 +144,7 @@ class TestPlanMetaBounds:
     def test_upcast_overflow_still_raises(self, rng):
         """The INT16 overflow guard survives the fusion: inputs whose
         transformed magnitude exceeds the bound raise like the reference."""
-        engine = _engine("numpy")
+        engine = _engine()
         w = rng.standard_normal((3, 4, 3, 3)) * 0.1
         # F(6,3): the analytic bound (128 * row^2 = 460800) exceeds
         # INT16, so the fused path must re-arm the runtime reduction.
@@ -207,38 +160,11 @@ class TestPlanMetaBounds:
             np.testing.assert_array_equal(layer(x), expected)
 
     def test_direct_meta(self, rng):
-        engine = _engine("numpy")
+        engine = _engine()
         layer = engine.layer(rng.standard_normal((3, 4, 3, 3)) * 0.1,
                              "int8_direct", m=0, padding=1)
         meta = layer.plan.meta
         assert meta["z_wrap_free"] is True and meta["z_bound"] >= 1
-
-    def test_fp32_meta_partition_safety(self, rng):
-        """Only the batched winograd contraction may be split across
-        threads (per-T dgemms are unchanged by the split); the direct
-        2D float GEMM must stay serial (row-splitting could change BLAS
-        blocking and therefore bits)."""
-        engine = _engine("numpy")
-        w = rng.standard_normal((3, 4, 3, 3)) * 0.1
-        wino = engine.layer(w, "fp32_winograd", m=2, padding=1).plan.meta
-        assert wino["float_gemm"] is True
-        assert wino["gemm_partition_safe"] is True
-        direct = engine.layer(w, "fp32_direct", m=0, padding=1).plan.meta
-        assert direct["float_gemm"] is True
-        assert direct["gemm_partition_safe"] is False
-
-    def test_fp32_winograd_forced_serial_stays_bitwise(self, rng):
-        """Forcing gemm_partition_safe off must route the threaded
-        backend onto the serial fallback without changing a bit."""
-        engine = _engine("threaded")
-        w = rng.standard_normal((3, 4, 3, 3)) * 0.1
-        layer = engine.layer(w, "fp32_winograd", m=2, padding=1)
-        x = rng.standard_normal((2, 4, 12, 12))
-        fast = layer(x).copy()
-        layer.plan.meta["gemm_partition_safe"] = False
-        np.testing.assert_array_equal(layer(x), fast)
-        np.testing.assert_array_equal(layer(x), layer.reference(x))
-
 
 class _LapRecorder:
     """Tracer stand-in that records the stage name of every lap."""
@@ -282,39 +208,6 @@ class TestStageLaps:
         assert tracer.laps == EXPECTED_LAPS[algorithm] + epilogue
 
 
-class TestThreadedPartitioning:
-    """The threaded backend really dispatches its GEMM to the pool."""
-
-    def _layer(self, algorithm):
-        config = EDGE_CONFIGS[-1]
-        x, w = make_inputs(config)
-        layer = _engine(ThreadedBlasBackend(workers=2)).layer(
-            w, algorithm, m=config.m, padding=config.padding)
-        return layer, x
-
-    @staticmethod
-    def _stages_run_by(fn):
-        pool = get_pool(2)
-        before = pool.stages_run
-        out = fn()
-        return pool.stages_run - before, out
-
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
-    def test_gemm_is_partitioned(self, algorithm):
-        layer, x = self._layer(algorithm)
-        stages, _ = self._stages_run_by(lambda: layer(x))
-        assert stages == (0 if algorithm == "fp32_direct" else 1)
-
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
-    def test_partition_unsafe_plan_runs_serial(self, algorithm):
-        layer, x = self._layer(algorithm)
-        partitioned = layer(x).copy()
-        layer.plan.meta["gemm_partition_safe"] = False
-        stages, serial = self._stages_run_by(lambda: layer(x))
-        assert stages == 0
-        assert serial.tobytes() == partitioned.tobytes()
-
-
 class TestScratchRouting:
     def test_direct_path_uses_scratch(self, rng):
         """Satellite: the im2col/cast/reshape path leases scratch now."""
@@ -334,69 +227,8 @@ class TestScratchRouting:
         """use_scratch=False falls back to fresh buffers, bit-identical."""
         config = EDGE_CONFIGS[-1]
         x, w = make_inputs(config)
-        leased = _engine("numpy")
+        leased = _engine()
         fresh = ExecutionEngine(cache=PlanCache(capacity=8), use_scratch=False)
         a = leased.layer(w, algorithm, m=config.m, padding=config.padding)(x)
         b = fresh.layer(w, algorithm, m=config.m, padding=config.padding)(x)
         np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.concurrency
-class TestThreadedBackendConcurrency:
-    """8 threads hammer one shared session on the threaded backend; the
-    worker pool is simultaneously the GEMM partitioner and the target of
-    nested submissions, and every output must stay bitwise serial."""
-
-    THREADS = 8
-
-    def _run_threads(self, n, fn):
-        barrier = threading.Barrier(n)
-        errors = []
-
-        def body(tid):
-            barrier.wait()
-            try:
-                fn(tid)
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=body, args=(tid,), daemon=True)
-                   for tid in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120.0)
-        assert not any(t.is_alive() for t in threads), "worker thread wedged"
-        if errors:
-            raise errors[0]
-
-    def test_shared_session_bitwise_under_stress(self, rng):
-        case = ModelCase("resnet", "auto", batch=2, hw=16, width=8, m=2)
-        model = build_case_model(case)
-        calib = np.maximum(rng.standard_normal((2, 3, 16, 16)), 0)
-        quantize_model(model, "auto", m=2, calibration_batches=[calib])
-        inputs = [rng.standard_normal((2, 3, 16, 16))
-                  for _ in range(self.THREADS)]
-        session = InferenceSession(model, (2, 3, 16, 16), backend="threaded")
-        expected = [session.run(x) for x in inputs]  # serial warm reference
-        results = [[None] * 4 for _ in range(self.THREADS)]
-
-        def body(tid):
-            for i in range(4):
-                results[tid][i] = session.run(inputs[tid])
-
-        self._run_threads(self.THREADS, body)
-        for tid in range(self.THREADS):
-            for got in results[tid]:
-                np.testing.assert_array_equal(got, expected[tid])
-
-    def test_threaded_layer_repeat_calls_stable(self, rng):
-        config = EDGE_CONFIGS[-1]
-        x, w = make_inputs(config)
-        layer = _engine("threaded").layer(w, "lowino", m=config.m,
-                                          padding=config.padding)
-        first = layer(x).copy()
-        def body(tid):
-            for _ in range(8):
-                np.testing.assert_array_equal(layer(x), first)
-        self._run_threads(self.THREADS, body)

@@ -71,7 +71,7 @@ class TestHappyPaths:
 
     @pytest.mark.slow
     def test_reproduce_writes_report(self, tmp_path, capsys):
-        out_file = tmp_path / "report.md"
+        out_file = tmp_path / "new" / "report.md"  # --out creates dirs
         assert main(["reproduce", "--out", str(out_file)]) == 0
         assert out_file.is_file()
         assert "Figure 8" in out_file.read_text()

@@ -73,7 +73,7 @@ class TestSelection:
     def test_abort_hook_stops_measurement(self, tmp_path):
         sel = _selector(tmp_path)
         assert sel.select(GEOM, abort=lambda: True) is None
-        assert sel.wisdom.lookup_algorithm(GEOM.key(sel.backend_name)) is None
+        assert sel.wisdom.lookup_algorithm(GEOM.key()) is None
 
     def test_two_workers_share_one_wisdom_file(self, tmp_path):
         path = tmp_path / "wisdom.json"
@@ -96,7 +96,7 @@ class TestSelection:
         forced = res.entry()
         forced["algorithm"] = "int8_direct" if first.algorithm != "int8_direct" \
             else "int8_upcast"
-        won = b.wisdom.store_algorithm(GEOM.key(b.backend_name), forced)
+        won = b.wisdom.store_algorithm(GEOM.key(), forced)
         assert won["algorithm"] == first.algorithm
 
 
@@ -177,9 +177,9 @@ class TestFp32Family:
 
     def test_family_keys_are_namespaced(self):
         # fp32 entries live beside (never on top of) quantized ones.
-        assert GEOM.key("numpy") == GEOM.key("numpy", family="quantized")
-        assert "|fp32|" in GEOM.key("numpy", family="fp32")
-        assert GEOM.key("numpy", family="fp32") != GEOM.key("numpy")
+        assert GEOM.key() == GEOM.key(family="quantized")
+        assert "|fp32|" in GEOM.key(family="fp32")
+        assert GEOM.key(family="fp32") != GEOM.key()
 
     def test_fp32_swaps_are_always_calibration_safe(self):
         model = self._fp32_model()
@@ -220,10 +220,10 @@ class TestFp32Family:
         assert again.source == "wisdom"
         assert again.label == first.label
         assert sel.wisdom.lookup_algorithm(
-            GEOM.key(sel.backend_name, family="fp32")
+            GEOM.key(family="fp32")
         ) is not None
         # ...without contaminating the quantized namespace.
-        assert sel.wisdom.lookup_algorithm(GEOM.key(sel.backend_name)) is None
+        assert sel.wisdom.lookup_algorithm(GEOM.key()) is None
 
     def test_apply_selection_swaps_fp32_engine_at_lowering(self, tmp_path):
         from repro.nn.graph import trace
@@ -235,7 +235,7 @@ class TestFp32Family:
         # Seed wisdom with a forced fp32_winograd@4 choice for this conv.
         sel = _selector(tmp_path)
         sel.wisdom.store_algorithm(
-            geom.key(sel.backend_name, family="fp32"),
+            geom.key(family="fp32"),
             {"algorithm": "fp32_winograd", "m": 4, "measured": {},
              "static": "fp32_direct@0"},
         )
@@ -263,7 +263,7 @@ class TestFp32Family:
             if not geom.winograd_eligible:
                 continue
             sel.wisdom.store_algorithm(
-                geom.key(sel.backend_name, family="fp32"),
+                geom.key(family="fp32"),
                 {"algorithm": "fp32_winograd", "m": 2, "measured": {},
                  "static": "fp32_direct@0"},
             )
@@ -282,7 +282,7 @@ class TestModelSweep:
         assert len(geoms) >= 5
         sel = _selector(tmp_path)
         with sel.wisdom.batch():
-            results = {g.key(sel.backend_name): sel.select(g)
+            results = {g.key(): sel.select(g)
                        for _, _, g in geoms}
         for res in results.values():
             assert res.static_ratio >= 0.999
@@ -290,4 +290,4 @@ class TestModelSweep:
         for _, _, g in geoms:
             again = sel.select(g, measure=False)
             assert again.source == "wisdom"
-            assert again.label == results[g.key(sel.backend_name)].label
+            assert again.label == results[g.key()].label

@@ -8,8 +8,8 @@ import pytest
 
 from repro.gemm import BlockingParams
 from repro.tuning import (
-    DEFAULT_BACKEND,
     SCHEMA_VERSION,
+    ConvGeometry,
     TuneResult,
     WisdomFile,
     problem_key,
@@ -28,9 +28,6 @@ def _result(n_blk=12):
 class TestWisdomFile:
     def test_key_format(self):
         assert problem_key(16, 100, 32, 64) == "numpy|16x100x32x64"
-        assert problem_key(16, 100, 32, 64, backend="threaded") == (
-            "threaded|16x100x32x64"
-        )
 
     def test_store_and_lookup(self, tmp_path):
         wf = WisdomFile(tmp_path / "wisdom.json")
@@ -40,14 +37,6 @@ class TestWisdomFile:
         assert wf.lookup(4, 50, 8, 64) == params
         assert wf.lookup(4, 51, 8, 64) is None
         assert len(wf) == 1
-
-    def test_backend_namespaces_are_isolated(self, tmp_path):
-        wf = WisdomFile(tmp_path / "wisdom.json")
-        wf.store(4, 50, 8, 64, _result(12))
-        wf.store(4, 50, 8, 64, _result(24), backend="threaded")
-        assert wf.lookup(4, 50, 8, 64) == _params(12)
-        assert wf.lookup(4, 50, 8, 64, backend="threaded") == _params(24)
-        assert wf.lookup(4, 50, 8, 64, backend="other") is None
 
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "wisdom.json"
@@ -82,6 +71,82 @@ class TestWisdomFile:
         assert data["algorithms"] == {}
 
 
+#: A schema-2 wisdom file exactly as earlier releases wrote it, with one
+#: entry of every key shape, plus a GEMM entry under a namespace no
+#: lookup answers from ("threaded").  Written out literally so a change
+#: to the key-building code cannot also change what the test expects.
+_SCHEMA2_DOC = """{
+  "algorithms": {
+    "numpy|b2c8h8w8k16r3s1p1": {
+      "algorithm": "lowino",
+      "m": 2,
+      "measured": {
+        "int8_direct@0": 0.002,
+        "lowino@2": 0.001
+      },
+      "static": "int8_direct@0"
+    },
+    "numpy|fp32|b2c8h8w8k16r3s1p1": {
+      "algorithm": "fp32_winograd",
+      "m": 4,
+      "measured": {
+        "fp32_direct@0": 0.003,
+        "fp32_winograd@4": 0.002
+      },
+      "static": "fp32_direct@0"
+    }
+  },
+  "gemm": {
+    "numpy|4x50x8x64": {
+      "params": {
+        "c_blk": 8,
+        "col_blk": 4,
+        "k_blk": 64,
+        "n_blk": 12,
+        "row_blk": 6
+      },
+      "predicted_time": 0.001
+    },
+    "threaded|4x50x8x64": {
+      "params": {
+        "c_blk": 8,
+        "col_blk": 4,
+        "k_blk": 64,
+        "n_blk": 24,
+        "row_blk": 6
+      },
+      "predicted_time": 0.002
+    }
+  },
+  "schema": 2
+}"""
+
+
+class TestOnDiskFormat:
+    """Files written in the schema-2 key format keep answering."""
+
+    GEOM = ConvGeometry(batch=2, c=8, h=8, w=8, k=16)
+
+    def test_every_numpy_entry_answers_public_lookups(self, tmp_path):
+        path = tmp_path / "wisdom.json"
+        path.write_text(_SCHEMA2_DOC)
+        wf = WisdomFile(path)
+        assert wf.lookup(4, 50, 8, 64) == _params(12)
+        quantized = wf.lookup_algorithm(self.GEOM.key())
+        assert (quantized["algorithm"], quantized["m"]) == ("lowino", 2)
+        fp32 = wf.lookup_algorithm(self.GEOM.key(family="fp32"))
+        assert (fp32["algorithm"], fp32["m"]) == ("fp32_winograd", 4)
+
+    def test_foreign_namespace_survives_a_store(self, tmp_path):
+        path = tmp_path / "wisdom.json"
+        path.write_text(_SCHEMA2_DOC)
+        before = json.loads(_SCHEMA2_DOC)
+        WisdomFile(path).store(4, 51, 8, 64, _result(36))
+        after = json.loads(path.read_text())
+        assert after["gemm"]["threaded|4x50x8x64"] == before["gemm"]["threaded|4x50x8x64"]
+        assert WisdomFile(path).lookup(4, 51, 8, 64) == _params(36)
+
+
 class TestMigration:
     """Legacy flat (schema-1) files load transparently as v2."""
 
@@ -92,7 +157,7 @@ class TestMigration:
         }
         path.write_text(json.dumps(legacy))
         wf = WisdomFile(path)
-        # legacy keys land in the gemm section under the default backend
+        # legacy keys land in the gemm section under the "numpy" namespace
         assert wf.lookup(4, 24, 16, 32) == _params()
         assert len(wf) == 1
         # the next store rewrites the file in the versioned schema,
