@@ -102,12 +102,19 @@ class MaxPool2d(Layer):
         self.size = size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
+        """Max over the ``s * s`` strided slices, trailing rows/columns
+        that do not fill a window dropped.  The result is fresh and keeps
+        ``x``'s memory order (``order="K"``), as a reduction over a
+        reshaped view does: downstream means sum in layout order."""
         s = self.size
-        if h % s or w % s:
-            x = x[:, :, : h - h % s, : w - w % s]
-            b, c, h, w = x.shape
-        return x.reshape(b, c, h // s, s, w // s, s).max(axis=(3, 5))
+        h = x.shape[2] - x.shape[2] % s
+        w = x.shape[3] - x.shape[3] % s
+        out = x[:, :, 0:h:s, 0:w:s].copy(order="K")
+        for i in range(s):
+            for j in range(s):
+                if i or j:
+                    np.maximum(out, x[:, :, i:h:s, j:w:s], out=out)
+        return out
 
 
 class GlobalAvgPool(Layer):

@@ -4,29 +4,34 @@ The paper's central engineering claim (Section 4) is that low-precision
 Winograd only pays off when transform / quantize / GEMM / dequantize run
 as one tight pipeline instead of four separate whole-tensor passes.
 This module is that pipeline.  LoWino (Fig. 3), the up-casting and
-down-scaling baselines (Fig. 2a/2b) and their FP32 twin share tiling,
-``B^T d B``, the ``(T, N, C)`` scatter, the batched GEMM and
-``A^T Z A``; they differ only in where quantization sits.  So each
-algorithm is one short pipeline function (:data:`PIPELINES`) composed
-from shared stage primitives:
+down-scaling baselines (Fig. 2a/2b) and their FP32 twin share the
+``B^T d B`` input transform into the ``(T, N, C)`` GEMM layout, the
+batched GEMM and the ``A^T Z A`` output transform out of it; they
+differ only in where quantization sits.  So each algorithm is one short
+pipeline function (:data:`PIPELINES`) composed from shared stage
+primitives:
 
 * :func:`_pad` -- zero-pad into leased scratch, optionally quantizing
-  (the spatial-domain schemes quantize before the transform);
-* :func:`_winograd_input` -- tiles + ``B^T d B`` + the ``(T, N, C)``
-  GEMM layout; :func:`_im2col` for the direct algorithms;
+  (the spatial-domain schemes quantize before the transform); Winograd
+  inputs are padded out to the tile grid, so tail tiles read zeros;
+* :func:`_winograd_input` -- one strided gather of the padded input
+  into an ``(alpha, alpha, N*C)`` operand, then ``B^T d B`` as two
+  whole-layer GEMMs that land in the ``(T, N, C)`` layout;
+  :func:`_im2col` for the direct algorithms;
 * :func:`_gemm` -- the GEMM, one ``np.matmul`` into leased scratch;
 * :func:`_wrap_divide` -- the dequantizing divide with INT32 wrap
   semantics;
-* :func:`_scatter` + :func:`_inverse_transform` -- accumulator tiles,
-  ``A^T Z A`` and assembly; :func:`_nhwc_restore` for direct outputs;
+* :func:`_winograd_output` -- ``A^T Z A`` as two whole-layer GEMMs on
+  the ``(T, N, K)`` accumulators, then assembly into a fresh output;
+  :func:`_nhwc_restore` for direct outputs;
 * :func:`epilogue` -- the compiled graph's bias/ReLU, in place.
 
 Every intermediate lands in the call's leased scratch via ``out=``
-targets, and each pipeline laps the tracer at the same stage boundaries
-as the reference layers' stages.  The engine
-(:class:`~repro.runtime.engine.ExecutionEngine`) owns the scratch pool
-and builds the call's tile grid; it hands the lease in through a
-:class:`FusedCall` and the tile grid as an argument.
+targets, every output is a fresh array, and each pipeline laps the
+tracer at the same stage boundaries as the reference layers' stages.
+The engine (:class:`~repro.runtime.engine.ExecutionEngine`) owns the
+scratch pool and builds the call's tile grid; it hands the lease in
+through a :class:`FusedCall` and the tile grid as an argument.
 
 Every pipeline issues its GEMM as one serial ``np.matmul``.  Multi-core
 execution in the paper's sense (Section 4.4, static scheduling of
@@ -46,11 +51,15 @@ materializations because each skip is an exact no-op:
   change no bits.  :func:`repro.runtime.plan._plan_meta` proves the
   bounds at plan time; when it cannot, the pipelines fall back to the
   reference's runtime checks and wrapping casts.
-- *Float stages replay the reference's op sequence*: ``matmul(...,
+- *Float stages replay the reference's arithmetic*: ``matmul(...,
   out=)`` into a C-contiguous buffer issues the same BLAS call as a
-  fresh allocation, so the FP32 baselines match bitwise too.
+  fresh allocation, and the GEMM-layout transforms
+  (:func:`repro.winograd.gemm_layout_transform`) compute each element
+  as the same two dot products, in the same order, as the reference's
+  per-tile transforms -- only the BLAS call shape differs -- so the
+  FP32 stages match bitwise too.
 - *In-place epilogue*: ``out += bias`` then ``np.maximum(out, 0.0,
-  out=out)`` on a freshly detached output computes exactly
+  out=out)`` on the fresh output computes exactly
   ``np.maximum(out + bias, 0.0)``.
 """
 
@@ -60,10 +69,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..conv._tileops import gemm_result_to_tiles, tiles_to_gemm_operand
 from ..conv.im2col import conv_output_shape, im2col
 from ..quant import QuantParams, per_position_minmax_params, spatial_params_from_tensor
-from ..winograd import assemble_output, extract_tiles
+from ..winograd import gemm_layout_transform
 
 __all__ = [
     "FUSED_ALGORITHMS",
@@ -100,15 +108,6 @@ class FusedCall:
         if self.tracer is not None:
             self.t_lap = self.tracer.lap(stage, self.t_lap)
 
-    def detach(self, out: np.ndarray) -> np.ndarray:
-        """Copy ``out`` if it aliases leased scratch (edge geometries where
-        ``assemble_output`` returns a view); the lease ends with the call,
-        so an escaping view would see the next call's data -- the next
-        layer of the same run included, since one arena serves them all."""
-        if self.arena is not None and self.arena.aliases(out):
-            return out.copy()
-        return out
-
 
 # -- stage primitives --------------------------------------------------
 def _round_clip(x: np.ndarray, scale, lo, hi, out: np.ndarray) -> np.ndarray:
@@ -127,25 +126,35 @@ def _spatial_params(layer, images: np.ndarray) -> QuantParams:
 
 
 def _pad(
-    call: FusedCall, images: np.ndarray, padding: int, params: Optional[QuantParams] = None
+    call: FusedCall,
+    images: np.ndarray,
+    padding: int,
+    grid=None,
+    params: Optional[QuantParams] = None,
 ) -> np.ndarray:
     """Zero-pad into leased scratch, quantizing on the way when ``params``
     is given (replaces ``quantize -> int8; pad_images`` and the fresh
     allocation of ``pad_images``; quantize(0) == 0 for the border).
 
-    Unquantized unpadded input is returned as is.
+    With a tile ``grid`` the bottom/right border extends to the grid's
+    padded input size: the zeros the reference's ``extract_tiles`` adds
+    for tail tiles.  Input that needs neither padding nor quantization
+    is returned as is.
     """
-    if padding == 0 and params is None:
-        return images
     b, c, h, w = images.shape
     p = padding
-    xp = call.buf("xpad", (b, c, h + 2 * p, w + 2 * p), np.float64)
-    if p:
-        xp[:, :, :p, :] = 0.0
-        xp[:, :, h + p :, :] = 0.0
-        xp[:, :, p : h + p, :p] = 0.0
-        xp[:, :, p : h + p, w + p :] = 0.0
-    xi = xp[:, :, p : h + p, p : w + p] if p else xp
+    if grid is None:
+        hp, wp = h + 2 * p, w + 2 * p
+    else:
+        hp, wp = grid.padded_in_h, grid.padded_in_w
+    if (hp, wp) == (h, w) and params is None:
+        return images
+    xp = call.buf("xpad", (b, c, hp, wp), np.float64)
+    xp[:, :, :p, :] = 0.0
+    xp[:, :, h + p :, :] = 0.0
+    xp[:, :, p : h + p, :p] = 0.0
+    xp[:, :, p : h + p, w + p :] = 0.0
+    xi = xp[:, :, p : h + p, p : w + p]
     if params is None:
         np.copyto(xi, images)
     else:
@@ -154,21 +163,31 @@ def _pad(
 
 
 def _winograd_input(call: FusedCall, x: np.ndarray, grid, bt: np.ndarray) -> np.ndarray:
-    """Tiles + ``B^T d B`` + the ``(T, N, C)`` GEMM layout.
+    """``B^T d B`` of every tile, in the ``(T, N, C)`` GEMM layout.
 
-    The two transform matmuls go through a leased half-product buffer
-    and the second lands back in the tiles buffer.  On the quantized
-    paths ``bt`` is the integer matrix as float64: same matmuls on the
-    same exact-integer values, so the results equal the reference's
-    int64 transform.
+    ``x`` is padded to the grid's padded input size.  One strided copy
+    gathers it into an ``(alpha, alpha, N*C)`` operand -- element
+    ``(i, j)`` of tile ``(b, ti, tj)``, channel ``c`` -- and
+    :func:`~repro.winograd.gemm_layout_transform` lands the result as
+    the ``(T, N, C)`` operand.  On the quantized paths ``bt`` is the
+    integer matrix as float64: same products on the same exact-integer
+    values, so the results equal the reference's int64 transform.
     """
     b, c = x.shape[0], x.shape[1]
-    a, th, tw = grid.alpha, grid.tiles_h, grid.tiles_w
-    tile_shape = (b, c, th, tw, a, a)
-    tiles = extract_tiles(grid, x, out=call.buf("tiles", tile_shape, np.float64))
-    half = np.matmul(tiles, bt.T, out=call.buf("half", tile_shape, np.float64))
-    np.matmul(bt, half, out=tiles)
-    return tiles_to_gemm_operand(tiles, out=call.buf("v", (a * a, b * th * tw, c), np.float64))
+    a, m, th, tw = grid.alpha, grid.m, grid.tiles_h, grid.tiles_w
+    sb, sc, sh, sw = x.strides
+    tiles = call.buf("tiles", (a, a, b, th, tw, c), np.float64)
+    np.copyto(tiles, np.lib.stride_tricks.as_strided(
+        x, shape=tiles.shape, strides=(sh, sw, sb, sh * m, sw * m, sc), writeable=False
+    ))
+    x_cols = b * th * tw * c
+    v = gemm_layout_transform(
+        bt,
+        tiles.reshape(a, a, x_cols),
+        half=call.buf("half", (a, a, x_cols), np.float64),
+        out=call.buf("v", (a, a, x_cols), np.float64),
+    )
+    return v.reshape(a * a, b * th * tw, c)
 
 
 def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
@@ -211,21 +230,35 @@ def _wrap_divide(call: FusedCall, plan, z: np.ndarray, denom) -> np.ndarray:
     return np.divide(z_i32, denom, out=z)
 
 
-def _scatter(call: FusedCall, z: np.ndarray, batch: int, grid) -> np.ndarray:
-    """``(T, N, K)`` accumulators -> ``(B, K, th, tw, a, a)`` tiles, in
-    ``z``'s dtype."""
-    k, a = z.shape[2], grid.alpha
-    shape = (batch, k, grid.tiles_h, grid.tiles_w, a, a)
-    return gemm_result_to_tiles(z, batch, grid, k, out=call.buf("acc_z", shape, z.dtype))
+def _winograd_output(
+    call: FusedCall, acc: np.ndarray, batch: int, grid, at: np.ndarray
+) -> np.ndarray:
+    """``A^T Z A`` of the ``(T, N, K)`` float64 accumulators, assembled
+    into a fresh C-contiguous ``(B, K, out_h, out_w)`` output.
 
-
-def _inverse_transform(call: FusedCall, acc: np.ndarray, grid, at: np.ndarray) -> np.ndarray:
-    """``A^T Z A`` + tile assembly, detached from the lease."""
-    b, k, th, tw, a, _ = acc.shape
-    m = grid.m
-    half = np.matmul(acc, at.T, out=call.buf("ohalf", (b, k, th, tw, a, m), np.float64))
-    y = np.matmul(at, half, out=call.buf("y", (b, k, th, tw, m, m), np.float64))
-    return call.detach(assemble_output(grid, y))
+    The output's memory order matches the reference's
+    ``assemble_output``: downstream reductions (pooling means) sum in
+    layout order.  Geometries whose last tiles overhang the output
+    assemble the full tile grid in scratch and copy the crop out.
+    """
+    n, k = acc.shape[1:]
+    a, m, th, tw = grid.alpha, grid.m, grid.tiles_h, grid.tiles_w
+    y = gemm_layout_transform(
+        at,
+        acc.reshape(a, a, n * k),
+        half=call.buf("ohalf", (a, m, n * k), np.float64),
+        out=call.buf("y", (m, m, n * k), np.float64),
+    )
+    oh, ow = grid.out_h, grid.out_w
+    full_shape = (batch, k, th * m, tw * m)
+    crop = full_shape[2:] != (oh, ow)
+    full = call.buf("full", full_shape, np.float64) if crop else np.empty(full_shape)
+    # y[p, o, (b, ti, tj, k)] is output pixel (ti*m + p, tj*m + o).
+    np.copyto(
+        full.reshape(batch, k, th, m, tw, m),
+        y.reshape(m, m, batch, th, tw, k).transpose(2, 5, 3, 0, 4, 1),
+    )
+    return full[:, :, :oh, :ow].copy() if crop else full
 
 
 def _nhwc_restore(z: np.ndarray, batch: int, oh: int, ow: int) -> np.ndarray:
@@ -262,7 +295,7 @@ def _lowino(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     """Winograd-domain quantization (Fig. 3): input_transform ->
     quantize -> gemm -> output_transform."""
     layer = plan.layer
-    v = _winograd_input(call, _pad(call, images, layer.padding), grid, layer.alg.bt)
+    v = _winograd_input(call, _pad(call, images, layer.padding, grid), grid, layer.alg.bt)
     call.lap("input_transform")
     params = layer.input_params
     if params is None:
@@ -283,15 +316,10 @@ def _lowino(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     z = _gemm(call, v, u)
     z += zbar[:, None, :]
     call.lap("gemm")
-    # Scatter the (still exact-integer) accumulators into tile layout
-    # *before* de-quantizing: the narrow dtype halves the strided copy.
-    acc_z = _scatter(call, z, images.shape[0], grid)
-    t, _, k = z.shape
-    a = grid.alpha
-    denom = np.broadcast_to(params.scale * layer.filter_params.scale, (t, 1, k))
-    denom_tiles = denom[:, 0, :].T.reshape(k, a, a)[None, :, None, None, :, :]
-    acc = np.divide(acc_z, denom_tiles, out=call.buf("acc_tiles", acc_z.shape, np.float64))
-    out = _inverse_transform(call, acc, grid, layer.alg.at)
+    # De-quantize (Eq. 6) by the (T, 1, K) scale, into float64.
+    acc = z if z.dtype == np.float64 else call.buf("acc", z.shape, np.float64)
+    np.divide(z, params.scale * layer.filter_params.scale, out=acc)
+    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
@@ -301,7 +329,7 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, params)
+    x = _pad(call, images, layer.padding, grid, params)
     call.lap("quantize")
     v = _winograd_input(call, x, grid, plan.operands["bt_f64"])  # int16-valued
     if not plan.meta["v16_ok"]:
@@ -321,7 +349,7 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
         * layer.filter_scale
     )
     z = _wrap_divide(call, plan, z, denom)
-    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
@@ -331,7 +359,7 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, params)
+    x = _pad(call, images, layer.padding, grid, params)
     call.lap("quantize")
     v = _winograd_input(call, x, grid, plan.operands["bt_f64"])
     # Down-scale + round, the lossy step of Figure 2b -- the reference's
@@ -348,7 +376,7 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
         * layer.filter_downscale
     )
     z = _wrap_divide(call, plan, z, denom)
-    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
@@ -358,7 +386,7 @@ def _int8_direct(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     output_transform (dequant + NHWC restore)."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, params)
+    x = _pad(call, images, layer.padding, params=params)
     call.lap("quantize")
     cols, oh, ow = _im2col(call, layer, x, images)
     call.lap("input_transform")
@@ -375,11 +403,11 @@ def _fp32_winograd(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarra
     ``Fp32WinogradConv2d.__call__``: input_transform -> gemm ->
     output_transform."""
     layer = plan.layer
-    v = _winograd_input(call, _pad(call, images, layer.padding), grid, layer.alg.bt)
+    v = _winograd_input(call, _pad(call, images, layer.padding, grid), grid, layer.alg.bt)
     call.lap("input_transform")
     z = _gemm(call, v, plan.operands["u_f64"])
     call.lap("gemm")
-    out = _inverse_transform(call, _scatter(call, z, images.shape[0], grid), grid, layer.alg.at)
+    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 

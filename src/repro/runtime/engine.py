@@ -1,10 +1,10 @@
 """Vectorized execution of prepared convolution plans.
 
 The online path of every algorithm is expressed as whole-tensor NumPy
-ops over *all* tiles at once -- tile extraction by stride tricks, the
-2D transforms as batched BLAS ``matmul`` over the trailing axes,
-the batched GEMM as one broadcast ``np.matmul``, the inverse transform
-and tile assembly as reshapes -- with no per-tile or per-task Python
+ops over *all* tiles at once -- the tile gather as one strided copy into
+the GEMM layout, each 2D transform as two whole-layer BLAS GEMMs in
+that layout, the batched GEMM as one broadcast ``np.matmul``, tile
+assembly as one strided copy -- with no per-tile or per-task Python
 loop anywhere.  The loop-based implementations stay available as
 ``*_reference`` (:meth:`repro.core.LoWinoConv2d.reference_forward`,
 :func:`repro.gemm.batched_gemm_reference`) for differential testing.
@@ -32,9 +32,12 @@ carry the same values in float64 whenever the plan-time bounds
 identity -- and fall back to the reference's runtime checks and
 wrapping casts when they cannot.
 
-All float-domain stages (quantization, dequantization, FP32 transforms)
-perform the very same elementwise operations as the reference layers,
-in the same order, so the float outputs match bitwise as well.
+All float-domain stages perform the very same operations as the
+reference layers, in the same order -- quantization and dequantization
+elementwise, the FP32 transforms as the same two dot products per
+element (in GEMMs of another shape, see
+:func:`repro.winograd.gemm_layout_transform`) -- so the float outputs
+match bitwise as well.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ class ExecutionEngine:
     owns one :class:`~repro.runtime.plan.ScratchPool` (``scratch``) of
     *leased* grow-to-fit arenas: each ``execute`` call acquires a private
     arena for its duration and releases it on return.  A run's layers
-    execute one after another and every output is detached from the
-    lease, so the pool settles at one arena per concurrent run, sized by
-    the largest call, and reports contention via its
+    execute one after another and every output is a fresh array, never
+    a view of the lease, so the pool settles at one arena per concurrent
+    run, sized by the largest call, and reports contention via its
     :class:`~repro.runtime.plan.LeaseStats`.
 
     ``tracer`` (a :class:`~repro.obs.tracer.StageTracer`) lap-times the

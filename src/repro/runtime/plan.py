@@ -68,9 +68,8 @@ class ScratchArena:
 
     An arena belongs to exactly one caller at a time: it is handed out
     as a lease by :class:`ScratchPool` and must not be shared between
-    threads.  ``aliases(array)`` tells whether ``array`` overlaps any
-    buffer -- the engine uses it to copy results that would otherwise
-    escape the lease.
+    threads.  Nothing a call returns may be a view of an arena buffer:
+    the next lease holder overwrites it.
     """
 
     def __init__(self) -> None:
@@ -84,11 +83,6 @@ class ScratchArena:
             flat = np.empty(nbytes, dtype=np.uint8)
             self._buffers[name] = flat
         return np.ndarray(shape, dtype=dtype, buffer=flat)
-
-    def aliases(self, array: np.ndarray) -> bool:
-        """True when ``array`` may share memory with any arena buffer
-        (bounds overlap -- cheap and conservative)."""
-        return any(np.may_share_memory(array, buf) for buf in self._buffers.values())
 
     @property
     def nbytes(self) -> int:

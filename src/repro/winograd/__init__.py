@@ -5,7 +5,8 @@ Public surface:
 * :func:`winograd_algorithm` / :func:`cook_toom` -- build F(m, r) matrices.
 * :class:`WinogradAlgorithm` -- the generated algorithm object.
 * :func:`input_transform` / :func:`filter_transform` / :func:`output_transform`
-  -- batched 2D transforms.
+  -- batched 2D transforms; :func:`gemm_layout_transform` -- the same
+  transform over a whole layer in the GEMM layout.
 * :func:`extract_tiles` / :func:`assemble_output` / :func:`tile_grid` --
   overlapping tile decomposition.
 * :func:`winograd_conv2d_fp32` -- the FP32 reference convolution.
@@ -25,7 +26,13 @@ from .ndim import (
 from .points import canonical_points
 from .reference import winograd_conv2d_exact, winograd_conv2d_fp32, winograd_domain_matrices
 from .tiling import TileGrid, assemble_output, extract_tiles, tile_grid
-from .transforms import filter_transform, input_transform, output_transform, transform_2d
+from .transforms import (
+    filter_transform,
+    gemm_layout_transform,
+    input_transform,
+    output_transform,
+    transform_2d,
+)
 
 __all__ = [
     "WinogradAlgorithm",
@@ -51,6 +58,7 @@ __all__ = [
     "extract_tiles",
     "tile_grid",
     "filter_transform",
+    "gemm_layout_transform",
     "input_transform",
     "output_transform",
     "transform_2d",

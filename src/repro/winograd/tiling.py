@@ -78,9 +78,7 @@ def tile_grid(alg: WinogradAlgorithm, in_h: int, in_w: int) -> TileGrid:
     return TileGrid(m=alg.m, r=alg.r, in_h=in_h, in_w=in_w)
 
 
-def extract_tiles(
-    grid: TileGrid, images: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def extract_tiles(grid: TileGrid, images: np.ndarray) -> np.ndarray:
     """Extract overlapping input tiles.
 
     Parameters
@@ -89,10 +87,6 @@ def extract_tiles(
         Geometry from :func:`tile_grid`.
     images:
         ``(B, C, H, W)`` array with ``H == grid.in_h``, ``W == grid.in_w``.
-    out:
-        Optional preallocated destination (same shape/dtype as the
-        result).  The copy out of the overlapping view lands there
-        instead of a fresh allocation; values are identical either way.
 
     Returns
     -------
@@ -117,10 +111,7 @@ def extract_tiles(
         strides=(sb, sc, sh * grid.m, sw * grid.m, sh, sw),
         writeable=False,
     )
-    if out is None:
-        return np.ascontiguousarray(view)
-    np.copyto(out, view)
-    return out
+    return np.ascontiguousarray(view)
 
 
 def assemble_output(grid: TileGrid, tiles: np.ndarray) -> np.ndarray:

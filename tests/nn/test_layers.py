@@ -72,6 +72,43 @@ class TestActivationsAndPooling:
         assert Flatten()(rng.standard_normal((2, 3, 4, 4))).shape == (2, 48)
 
 
+def _reshape_max(x, s):
+    """The reshape-and-reduce max-pool ``MaxPool2d`` computed before it
+    took the max over strided slices, kept as the oracle."""
+    b, c, h, w = x.shape
+    x = x[:, :, : h - h % s, : w - w % s]
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // s, s, w // s, s).max(axis=(3, 5))
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("hw", [(6, 6), (7, 9), (12, 5)])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_reshape_max(self, s, hw, layout):
+        rng = np.random.default_rng([s, *hw, len(layout)])
+        x = rng.standard_normal((2, 3, *hw))
+        x[rng.random(x.shape) < 0.1] = np.nan
+        if layout == "nhwc":  # an int8_direct output: NHWC-backed view
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        got, want = MaxPool2d(s)(x), _reshape_max(x, s)
+        # Equal values with NaN in the same positions ...
+        np.testing.assert_array_equal(got, want)
+        # ... in the same memory order: GlobalAvgPool sums in that order.
+        assert got.strides == want.strides
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_signed_zero_windows(self, s):
+        """Windows of mixed +-0 may return either sign; values compare
+        equal."""
+        rng = np.random.default_rng(s)
+        x = np.where(rng.random((4, 5, 9, 9)) < 0.5, 0.0, -0.0)
+        got = MaxPool2d(s)(x)
+        assert np.array_equal(got, _reshape_max(x, s))
+        assert not got.any()
+
+
 class TestLinear:
     def test_forward(self, rng):
         w = rng.standard_normal((5, 7))

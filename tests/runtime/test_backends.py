@@ -20,6 +20,8 @@ from repro.runtime.backends import FUSED_ALGORITHMS
 from repro.runtime.bench import ModelCase, build_case_model
 
 EDGE_CONFIGS = enumerate_edge_configs()
+WINOGRAD_ALGORITHMS = ("lowino", "int8_upcast", "int8_downscale", "fp32_winograd")
+QUANTIZED_ALGORITHMS = ("lowino", "int8_upcast", "int8_downscale", "int8_direct")
 
 
 @pytest.fixture
@@ -39,6 +41,17 @@ class TestEdgeGridBitIdentity:
     def test_matches_reference_layer(self, algorithm, config):
         x, w = make_inputs(config)
         layer = _engine().layer(w, algorithm, m=config.m, padding=config.padding)
+        np.testing.assert_array_equal(layer(x), layer.reference(x))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("algorithm", WINOGRAD_ALGORITHMS)
+    def test_single_column_matches_reference(self, algorithm, m, rng):
+        """One image, one tile, one channel in and out: both transforms
+        see a one-column GEMM-layout operand, which NumPy would hand to
+        gemv (another summation order) without the per-tile route."""
+        x = rng.standard_normal((1, 1, m + 2, m + 2))
+        w = rng.standard_normal((1, 1, 3, 3))
+        layer = _engine().layer(w, algorithm, m=m)
         np.testing.assert_array_equal(layer(x), layer.reference(x))
 
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
@@ -79,10 +92,10 @@ class TestModelBitIdentity:
         np.testing.assert_array_equal(session.run(x), model(x))
         dequantize_model(model)
 
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", QUANTIZED_ALGORITHMS)
     def test_strided_conv(self, algorithm, rng):
-        if algorithm != "int8_direct":
-            pytest.skip("stride > 1 lowers onto the direct path only")
+        """The stride-2 conv lowers onto ``int8_direct`` whatever the
+        algorithm; the body conv runs ``algorithm``'s pipeline."""
         model = Sequential([
             Conv2d(rng.standard_normal((8, 3, 3, 3)) * 0.1, padding=1,
                    stride=2, name="down"),

@@ -102,12 +102,13 @@ class TestEngineConcurrency:
         return ExecutionEngine(cache=PlanCache(capacity=64), use_scratch=True)
 
     def test_output_never_aliases_scratch(self, engine, make_rng):
-        """Outputs must be detached from the leased arena: a later run
+        """Outputs must never be views of the leased arena: a later run
         reusing the arena must not rewrite an earlier result."""
         rng = make_rng()
         w = rng.standard_normal((4, 3, 3, 3))
-        # Single-tile geometry (m=4, r=3 -> 6x6 input) is the aliasing
-        # edge case: assemble_output can return a view of scratch.
+        # Single-tile geometry (m=4, r=3 -> 6x6 input): the assembled
+        # output has the transform output's exact extent, so a reshape
+        # of scratch would need no copy.
         x1 = rng.standard_normal((1, 3, 6, 6))
         x2 = rng.standard_normal((1, 3, 6, 6))
         y1 = engine.conv2d(x1, w, "lowino", m=4, padding=1)
