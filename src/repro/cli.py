@@ -415,7 +415,6 @@ def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
         procs=procs,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
-        transport=args.transport,
         wisdom=not args.no_proc_wisdom,
         seed=args.seed,
     )
@@ -714,10 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument("--clients", type=int, default=8,
                      help="closed-loop client threads for the --procs sweep "
                           "(default 8)")
-    psv.add_argument("--transport", default="auto",
-                     choices=("auto", "shm", "pipe"),
-                     help="--procs tensor transport (default auto: shared-"
-                          "memory slabs when available)")
     psv.add_argument("--no-proc-wisdom", action="store_true",
                      help="disable in-worker tuning + the cross-process "
                           "selection-convergence gate in the --procs sweep")

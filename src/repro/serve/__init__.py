@@ -28,10 +28,11 @@ concurrent callers.  This package provides that deployment shape:
 * :mod:`~repro.serve.procs` / :mod:`~repro.serve.router` -- the
   process tier: :class:`~repro.serve.router.ProcServer` shards
   execution across N worker processes (each compiling its own session
-  from one pickled model), with shared-memory tensor transport,
-  restart-on-crash health checks, and cross-process tuner coordination
-  through one shared wisdom file.  ``repro serve-bench --procs``
-  sweeps worker counts past the single-process GIL ceiling.
+  from one pickled model), with raw-byte tensor transport over each
+  worker's control pipe, restart-on-crash health checks, and
+  cross-process tuner coordination through one shared wisdom file.
+  ``repro serve-bench --procs`` sweeps worker counts past the
+  single-process GIL ceiling.
 
 Quick use::
 
@@ -45,7 +46,7 @@ Quick use::
 
 from .batching import InferenceFuture, Request, RequestQueue, ServerClosed, ServerOverloaded
 from .loadgen import LoadBenchConfig, ReplayResult, replay, run_load_bench
-from .procs import ProcPool, RemoteExecutionError, SlabRing, WorkerError
+from .procs import ProcPool, RemoteExecutionError, WorkerError
 from .router import ProcServer, RemoteSession
 from .server import ServedModel, Server
 from .stats import LatencyStats, ModelStats
@@ -83,7 +84,6 @@ __all__ = [
     "Server",
     "ServerClosed",
     "ServerOverloaded",
-    "SlabRing",
     "Trace",
     "TraceEvent",
     "UniformArrivals",

@@ -309,9 +309,6 @@ class ProcBenchConfig:
     max_batch: int = 16
     max_delay_ms: float = 5.0
     queue_size: int = 256
-    #: Tensor transport: "auto" (shared-memory slabs when available),
-    #: "shm", or "pipe".
-    transport: str = "auto"
     #: Tune inside the workers against one shared wisdom file and gate
     #: that every worker converges to identical algorithm selections.
     wisdom: bool = True
@@ -373,7 +370,6 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
                 queue_size=cfg.queue_size,
                 wisdom=wisdom_path,
                 tune_workers=cfg.wisdom,
-                transport=cfg.transport,
             )
             try:
                 server.add_model("bench", model, input_shape=input_shape)
@@ -415,9 +411,6 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
                     "throughput_ips": images / wall,
                     "exact": exact,
                     "restarts": pool["restarts"],
-                    "transports": sorted(
-                        {w["transport"] for w in pool["workers"].values()}
-                    ),
                     "selection_workers": len(selections),
                     "selection_converged": len(distinct) <= 1,
                     "selection": (
@@ -528,7 +521,7 @@ def format_proc_bench(doc: dict) -> str:
         f"Multi-process serving benchmark -- model={cfg['model']}/"
         f"{cfg['algorithm']} hw={cfg['hw']} width={cfg['width']} "
         f"clients={cfg['client_threads']} request_batch={cfg['request_batch']} "
-        f"transport={cfg['transport']} wisdom={'on' if cfg['wisdom'] else 'off'}",
+        f"wisdom={'on' if cfg['wisdom'] else 'off'}",
         f"{'procs':>5s} {'images':>6s} {'wall':>9s} {'imgs/s':>8s} "
         f"{'batch~':>6s} {'p95':>8s} {'exact':>6s} {'conv':>5s}",
     ]

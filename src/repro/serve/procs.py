@@ -5,23 +5,20 @@ GIL: however fast one fused step is, one Python process executes one
 interpreter instruction stream.  This module supplies the pieces the
 process tier (:class:`~repro.serve.router.ProcServer`) is built from:
 
-* :class:`SlabRing` -- a ring of fixed-size ``multiprocessing.shared_memory``
-  slabs.  Request and response tensors travel as raw NCHW bytes plus a
-  tiny header (slot index, shape, dtype) over the control pipe -- no
-  pickling of array payloads on the hot path.  Tensors that do not fit
-  a slab (or hosts without ``shared_memory``) fall back transparently
-  to plain-pipe byte transport.
+* :func:`encode_array` / :func:`decode_array` -- the tensor transport.
+  Request and response tensors travel over the control pipe as a tiny
+  header (shape, dtype) plus their raw C-order bytes -- no pickling of
+  array objects on the hot path -- and are decoded into a private copy.
 * :class:`WorkerProcess` -- the parent-side handle of one worker: a
   spawned process owning its *own* compiled
   :class:`~repro.runtime.session.InferenceSession` per deployed model
   (LoWino's offline/online split at process granularity: prepare once
-  per worker, serve many), a duplex control pipe, and a private slab
-  ring.
-* :class:`ProcPool` -- N workers behind a free-list, with health
-  checks and restart-on-crash: a dead or wedged worker is terminated,
-  respawned, and re-deployed with every model; its in-flight batch
-  fails over to another live worker (the request bytes still live in
-  the parent, so failover is a retry, not a loss).
+  per worker, serve many) and a duplex control pipe.
+* :class:`ProcPool` -- N workers behind depth-weighted checkout, with
+  health checks and restart-on-crash: a dead or wedged worker is
+  terminated, respawned, and re-deployed with every model; its
+  in-flight batch fails over to another live worker (the request bytes
+  still live in the parent, so failover is a retry, not a loss).
 
 Bit-identity is preserved by construction: every worker compiles the
 same pickled model for the same input geometry, and the runtime's
@@ -43,32 +40,23 @@ import pickle
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-try:  # Python >= 3.8 everywhere we run; guarded for exotic platforms.
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - non-standard build
-    _shm = None  # type: ignore[assignment]
-
 __all__ = [
-    "DEFAULT_SLOT_BYTES",
     "ProcPool",
     "RemoteExecutionError",
-    "SlabRing",
     "WorkerError",
     "WorkerProcess",
 ]
-
-#: Default slab size: comfortably holds a coalesced float64 batch of
-#: ``16 x 3 x 64 x 64`` images (~1.5 MiB) with headroom.
-DEFAULT_SLOT_BYTES = 4 << 20
 
 #: Control-channel timeouts (seconds).  Deploys compile (and possibly
 #: tune) whole models inside the worker, so they get a generous bound.
 DEFAULT_RUN_TIMEOUT_S = 60.0
 DEFAULT_DEPLOY_TIMEOUT_S = 300.0
+#: How often the health loop looks for dead or retired workers.
+DEFAULT_HEALTH_INTERVAL_S = 0.5
 
 
 class WorkerError(RuntimeError):
@@ -87,145 +75,20 @@ class RemoteExecutionError(RuntimeError):
     thread tier propagates session exceptions to the future."""
 
 
-def _attach_segment(name: str):
-    """Attach an existing shared-memory segment without registering it
-    with the resource tracker (the parent owns the unlink).
-
-    On Python < 3.13 there is no ``track=False``, and spawn children
-    share the parent's tracker process -- an attach-then-unregister
-    would *remove the parent's registration* (the tracker cache is a
-    set), making the parent's eventual ``unlink`` complain about an
-    unknown name.  Suppressing registration during the attach keeps the
-    tracker's books balanced: exactly one register (parent create) and
-    one unregister (parent unlink) per segment."""
-    try:
-        return _shm.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shm(name_, rtype):  # pragma: no cover - trivial shim
-            if rtype != "shared_memory":
-                original(name_, rtype)
-
-        resource_tracker.register = _skip_shm
-        try:
-            return _shm.SharedMemory(name=name, create=False)
-        finally:
-            resource_tracker.register = original
-
-
-class SlabRing:
-    """Ring of fixed-size shared-memory slabs (NCHW byte transport).
-
-    The parent *creates* a ring (``SlabRing(slots, slot_bytes)``) and
-    manages the free list; a worker *attaches* to the same segments by
-    name (:meth:`attach`) and never allocates -- it reuses the request's
-    slot for the response, so one slot round-trips one request.
-    """
-
-    def __init__(
-        self,
-        slots: int = 0,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        names: Optional[Sequence[str]] = None,
-    ) -> None:
-        if _shm is None:
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        self.slot_bytes = int(slot_bytes)
-        self._owner = names is None
-        if names is None:
-            if slots < 1:
-                raise ValueError(f"slots must be >= 1, got {slots}")
-            self._segments = [
-                _shm.SharedMemory(create=True, size=self.slot_bytes)
-                for _ in range(slots)
-            ]
-        else:
-            self._segments = [_attach_segment(n) for n in names]
-        self.names: Tuple[str, ...] = tuple(seg.name for seg in self._segments)
-        self._cond = threading.Condition()
-        self._free: List[int] = list(range(len(self._segments)))
-
-    @classmethod
-    def attach(cls, names: Sequence[str], slot_bytes: int) -> "SlabRing":
-        return cls(slot_bytes=slot_bytes, names=names)
-
-    def acquire(self, timeout: Optional[float] = None) -> Optional[int]:
-        """A free slot index, or None once ``timeout`` elapses."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._cond:
-            while not self._free:
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-            return self._free.pop()
-
-    def release(self, slot: int) -> None:
-        with self._cond:
-            self._free.append(slot)
-            self._cond.notify()
-
-    def write(self, slot: int, data: bytes) -> None:
-        self._segments[slot].buf[: len(data)] = data
-
-    def read(self, slot: int, nbytes: int) -> memoryview:
-        return self._segments[slot].buf[:nbytes]
-
-    def close(self) -> None:
-        """Detach (and, for the owning parent, unlink) every segment."""
-        for seg in self._segments:
-            try:
-                seg.close()
-            except (OSError, BufferError):  # pragma: no cover - teardown race
-                pass
-            if self._owner:
-                try:
-                    seg.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-        self._segments = []
-
-
-def encode_array(
-    x: np.ndarray, ring: Optional[SlabRing], slot: Optional[int]
-) -> Dict[str, object]:
-    """Serialize ``x`` into a transport header (+ slab bytes).
-
-    Shared-memory when a slot is provided and the tensor fits its slab;
-    otherwise the raw bytes ride the control pipe (the documented
-    fallback -- still a single copy, just not zero-ish)."""
-    x = np.ascontiguousarray(x)
-    if ring is not None and slot is not None and x.nbytes <= ring.slot_bytes:
-        ring.write(slot, x.tobytes())
-        return {
-            "via": "shm",
-            "slot": slot,
-            "shape": tuple(int(s) for s in x.shape),
-            "dtype": str(x.dtype),
-        }
+def encode_array(x: np.ndarray) -> Dict[str, object]:
+    """Serialize ``x`` into a transport header: shape, dtype and the raw
+    C-order bytes, which ride the control pipe."""
     return {
-        "via": "pipe",
         "shape": tuple(int(s) for s in x.shape),
         "dtype": str(x.dtype),
         "data": x.tobytes(),
     }
 
 
-def decode_array(header: Dict[str, object], ring: Optional[SlabRing]) -> np.ndarray:
+def decode_array(header: Dict[str, object]) -> np.ndarray:
     """Materialize (a private copy of) the tensor behind a header."""
     shape = tuple(header["shape"])  # type: ignore[arg-type]
     dtype = np.dtype(str(header["dtype"]))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if header["via"] == "shm":
-        if ring is None:
-            raise WorkerError("shared-memory header but no attached slab ring")
-        buf = ring.read(int(header["slot"]), count * dtype.itemsize)
-        return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     return np.frombuffer(header["data"], dtype=dtype).reshape(shape).copy()
 
 
@@ -260,13 +123,6 @@ def _worker_main(conn, worker_id: int, options: Dict[str, object]) -> None:
     """
     from ..runtime.session import InferenceSession
 
-    ring: Optional[SlabRing] = None
-    names = options.get("slab_names") or ()
-    if names and _shm is not None:
-        try:
-            ring = SlabRing.attach(names, int(options.get("slot_bytes", 0)))
-        except (OSError, RuntimeError):  # pragma: no cover - attach race
-            ring = None
     sessions: Dict[str, InferenceSession] = {}
     while True:
         try:
@@ -289,11 +145,8 @@ def _worker_main(conn, worker_id: int, options: Dict[str, object]) -> None:
                 reply = ("ok", None)
             elif cmd == "run":
                 _, name, header = msg
-                x = decode_array(header, ring)
-                y = sessions[name].run(x)
-                slot = header["slot"] if header["via"] == "shm" else None
-                out = encode_array(y, ring, slot)
-                reply = ("ok", out, _session_counters(sessions))
+                y = sessions[name].run(decode_array(header))
+                reply = ("ok", encode_array(y), _session_counters(sessions))
             elif cmd == "selection":
                 _, name = msg
                 reply = ("ok", dict(sessions[name].selection))
@@ -315,8 +168,6 @@ def _worker_main(conn, worker_id: int, options: Dict[str, object]) -> None:
             conn.send(reply)
         except (OSError, BrokenPipeError):  # parent went away
             break
-    if ring is not None:
-        ring.close()
     conn.close()
 
 
@@ -326,29 +177,15 @@ def _worker_main(conn, worker_id: int, options: Dict[str, object]) -> None:
 
 
 class WorkerProcess:
-    """Parent-side handle of one worker: pipe, slab ring, liveness."""
+    """Parent-side handle of one worker: control pipe and liveness.
 
-    def __init__(
-        self,
-        worker_id: int,
-        ctx,
-        options: Dict[str, object],
-        slab_slots: int,
-        slot_bytes: int,
-        transport: str = "auto",
-    ) -> None:
+    Workers always start with ``spawn``: the router's dispatcher and
+    health threads are running when a worker (re)starts, and ``fork``
+    is unsafe in a process that has threads."""
+
+    def __init__(self, worker_id: int, options: Dict[str, object]) -> None:
         self.worker_id = worker_id
-        self.ring: Optional[SlabRing] = None
-        if transport not in ("auto", "shm", "pipe"):
-            raise ValueError(f"transport must be auto/shm/pipe, got {transport!r}")
-        if transport != "pipe":
-            if _shm is not None:
-                self.ring = SlabRing(slab_slots, slot_bytes)
-            elif transport == "shm":  # pragma: no cover - non-standard build
-                raise RuntimeError("shared-memory transport unavailable on this host")
-        opts = dict(options)
-        opts["slab_names"] = self.ring.names if self.ring is not None else ()
-        opts["slot_bytes"] = slot_bytes
+        ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe()
         self._conn = parent_conn
         self._lock = threading.Lock()
@@ -356,7 +193,7 @@ class WorkerProcess:
         self.last_stats: Dict[str, object] = {}
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, opts),
+            args=(child_conn, worker_id, options),
             daemon=True,
             name=f"repro-proc-worker-{worker_id}",
         )
@@ -395,22 +232,12 @@ class WorkerProcess:
 
     def run(self, name: str, x: np.ndarray, timeout: Optional[float]) -> np.ndarray:
         """Execute one coalesced batch remotely; returns the output rows."""
-        slot = None
-        if self.ring is not None and x.nbytes <= self.ring.slot_bytes:
-            # Bounded wait: with one batch in flight per worker a slot is
-            # almost always free; contention means fall back to the pipe.
-            slot = self.ring.acquire(timeout=1.0)
-        try:
-            header = encode_array(x, self.ring, slot)
-            out_header, counters = self.call(("run", name, header), timeout)
-            self.last_stats = counters
-            return decode_array(out_header, self.ring)
-        finally:
-            if slot is not None:
-                self.ring.release(slot)
+        out_header, counters = self.call(("run", name, encode_array(x)), timeout)
+        self.last_stats = counters
+        return decode_array(out_header)
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Graceful stop, escalating to terminate/kill; frees the ring."""
+        """Graceful stop, escalating to terminate/kill."""
         if self.proc.is_alive():
             try:
                 self.call(("stop",), timeout=timeout)
@@ -427,9 +254,6 @@ class WorkerProcess:
             self._conn.close()
         except OSError:  # pragma: no cover
             pass
-        if self.ring is not None:
-            self.ring.close()
-            self.ring = None
 
     def kill(self) -> None:
         """Immediate termination (health loop / failover path)."""
@@ -458,33 +282,23 @@ class ProcPool:
     def __init__(
         self,
         procs: int,
-        mp_context: str = "spawn",
         wisdom: Optional[object] = None,
         tune: bool = False,
-        transport: str = "auto",
-        slab_slots: int = 2,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        run_timeout_s: float = DEFAULT_RUN_TIMEOUT_S,
-        deploy_timeout_s: float = DEFAULT_DEPLOY_TIMEOUT_S,
-        health_interval_s: float = 0.5,
         registry=None,
     ) -> None:
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
         self.procs = procs
-        self.run_timeout_s = run_timeout_s
-        self.deploy_timeout_s = deploy_timeout_s
-        self.health_interval_s = health_interval_s
-        self._ctx = multiprocessing.get_context(mp_context)
+        self.run_timeout_s = DEFAULT_RUN_TIMEOUT_S
+        self.deploy_timeout_s = DEFAULT_DEPLOY_TIMEOUT_S
+        self.health_interval_s = DEFAULT_HEALTH_INTERVAL_S
         self._options = {
             "wisdom": str(wisdom) if wisdom is not None else None,
             "tune": tune,
         }
-        self._spawn_args = (slab_slots, slot_bytes, transport)
         self._lock = threading.Lock()
         self._workers: List[WorkerProcess] = [
-            WorkerProcess(i, self._ctx, self._options, *self._spawn_args)
-            for i in range(procs)
+            WorkerProcess(i, self._options) for i in range(procs)
         ]
         self._retired: set = set()  # worker ids awaiting respawn
         self._deployed: Dict[str, Tuple[bytes, Tuple[int, ...], Dict[str, object]]] = {}
@@ -632,9 +446,7 @@ class ProcPool:
             old = self._workers[worker_id]
             deployed = dict(self._deployed)
         old.stop(timeout=1.0)
-        replacement = WorkerProcess(
-            worker_id, self._ctx, self._options, *self._spawn_args
-        )
+        replacement = WorkerProcess(worker_id, self._options)
         for name, (payload, input_shape, kw) in deployed.items():
             replacement.call(
                 ("deploy", name, payload, input_shape, kw), self.deploy_timeout_s
@@ -688,7 +500,6 @@ class ProcPool:
             "workers": {
                 w.worker_id: {
                     "alive": w.alive() and w.worker_id not in retired,
-                    "transport": "shm" if w.ring is not None else "pipe",
                     "depth": depth[w.worker_id],
                     "dispatched": dispatched[w.worker_id],
                     **(w.last_stats or {"runs": 0, "images": 0}),

@@ -15,8 +15,8 @@ the batching machinery consumes (``run`` / ``runs`` / ``images_seen`` /
 ``cache_stats`` / ``input_shape``), so ``ServedModel`` and all of its
 telemetry work unchanged -- dispatcher threads block in
 ``pool.run(...)`` where they used to block in ``session.run(...)``, and
-the GIL releases around the pipe/shared-memory wait, so N dispatchers
-keep N worker processes busy concurrently.
+the GIL releases around the pipe wait, so N dispatchers keep N worker
+processes busy concurrently.
 
 Admission control layers on the queue bound: when *zero* workers are
 live (crash storm mid-restart), submits shed immediately with
@@ -123,11 +123,8 @@ class ProcServer(Server):
         queue_size: int = 64,
         workers_per_model: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        mp_context: str = "spawn",
         wisdom: Optional[object] = None,
         tune_workers: bool = False,
-        transport: str = "auto",
-        run_timeout_s: float = 60.0,
     ) -> None:
         super().__init__(
             max_batch=max_batch,
@@ -142,13 +139,7 @@ class ProcServer(Server):
         )
         self.procs = procs
         self._pool = ProcPool(
-            procs,
-            mp_context=mp_context,
-            wisdom=wisdom,
-            tune=tune_workers,
-            transport=transport,
-            run_timeout_s=run_timeout_s,
-            registry=self.registry,
+            procs, wisdom=wisdom, tune=tune_workers, registry=self.registry
         )
 
     # -- deployment -----------------------------------------------------

@@ -14,12 +14,7 @@ import pytest
 
 from repro.nn.quantize import quantize_model
 from repro.runtime.bench import ModelCase, build_case_model
-from repro.serve import (
-    ProcServer,
-    RemoteExecutionError,
-    ServerOverloaded,
-    SlabRing,
-)
+from repro.serve import ProcServer, RemoteExecutionError, ServerOverloaded
 from repro.serve.procs import ProcPool, decode_array, encode_array
 
 pytestmark = pytest.mark.concurrency
@@ -50,42 +45,29 @@ def proc_server(served_model):
     server.close()
 
 
-class TestSlabRing:
-    def test_roundtrip_through_shared_memory(self, make_rng):
-        ring = SlabRing(slots=2, slot_bytes=1 << 16)
-        try:
-            x = make_rng().standard_normal((2, 3, 4, 4))
-            slot = ring.acquire(timeout=1.0)
-            header = encode_array(x, ring, slot)
-            assert header["via"] == "shm"
-            y = decode_array(header, ring)
-            ring.release(slot)
-            assert np.array_equal(x, y)
-            assert y.flags.owndata  # a private copy, not a slab view
-        finally:
-            ring.close()
+#: The memory layouts a tensor may reach the transport in.
+LAYOUTS = {
+    "c_order": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[:, ::2, 1::2],
+}
 
-    def test_oversized_tensor_falls_back_to_pipe_bytes(self, make_rng):
-        ring = SlabRing(slots=1, slot_bytes=64)
-        try:
-            x = make_rng().standard_normal((2, 3, 4, 4))  # >> 64 bytes
-            slot = ring.acquire(timeout=1.0)
-            header = encode_array(x, ring, slot)
-            ring.release(slot)
-            assert header["via"] == "pipe"
-            assert np.array_equal(decode_array(header, ring), x)
-        finally:
-            ring.close()
 
-    def test_acquire_blocks_until_release(self):
-        ring = SlabRing(slots=1, slot_bytes=64)
-        try:
-            slot = ring.acquire(timeout=1.0)
-            assert ring.acquire(timeout=0.05) is None
-            ring.release(slot)
-            assert ring.acquire(timeout=1.0) == slot
-        finally:
-            ring.close()
+class TestArrayTransport:
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "int8"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_round_trip_is_a_private_bitwise_copy(self, dtype, layout, make_rng):
+        base = (make_rng().standard_normal((2, 6, 5, 4)) * 40).clip(-128, 127)
+        x = LAYOUTS[layout](base.astype(dtype))
+        assert x.flags.c_contiguous == (layout == "c_order")
+        header = encode_array(x)
+        assert sorted(header) == ["data", "dtype", "shape"]
+        y = decode_array(header)
+        assert y.dtype == x.dtype and y.shape == x.shape
+        assert y.tobytes() == x.tobytes()  # bitwise, in C order
+        assert y.flags.c_contiguous
+        assert y.flags.owndata  # a private copy, not a view of the bytes
+        assert not np.shares_memory(y, x)
 
 
 class TestBitIdentity:
@@ -105,14 +87,6 @@ class TestBitIdentity:
         ]
         for fut, want in zip(futures, expected):
             assert np.array_equal(fut.result(timeout=120.0), want)
-
-    def test_pipe_transport_is_bit_identical_too(self, served_model, make_rng):
-        x = make_rng().standard_normal(SHAPE)
-        with ProcServer(procs=1, transport="pipe", max_delay_ms=1.0) as server:
-            server.add_model("m", served_model, input_shape=SHAPE)
-            pool = server.pool_stats()
-            assert all(w["transport"] == "pipe" for w in pool["workers"].values())
-            assert np.array_equal(server.infer("m", x, timeout=120.0), served_model(x))
 
 
 class TestErrorsAndFailover:
