@@ -9,7 +9,6 @@
     python -m repro conformance [--cases 50] [--update-golden]
     python -m repro bench [--quick] [--out BENCH_runtime.json]
     python -m repro serve-bench [--threads 1,2,8] [--gate 1.5]
-    python -m repro load-bench [--mode virtual] [--baseline BENCH_serve_quick.json]
     python -m repro tune [--wisdom wisdom.json] [--baseline BENCH_tuning.json]
 
 Each subcommand prints the same rows the corresponding benchmark
@@ -21,15 +20,12 @@ direct oracle and gates the error statistics against ``tests/golden``;
 workloads and can gate speedup ratios against a checked-in baseline;
 ``serve-bench`` measures the micro-batching server's throughput vs
 concurrent client count, with every served result gated bit-identical
-to serial eager execution; ``load-bench`` replays seeded open-loop
-traces (Poisson / bursty multi-model / overload) and reports SLO-style
-p50/p95/p99, goodput, and shed rate, gateable against a checked-in
-baseline.  Both persist their JSON documents under ``benchmarks/`` by
-default so the serve perf trajectory is first-class; ``tune`` measures
-the admissible algorithms per conv geometry, persists the winners to a
-shared wisdom file (``--wisdom``), and gates determinism plus the
-selected-vs-static ratio -- ``bench`` / ``serve-bench`` / ``load-bench``
-consume the same file via their own ``--wisdom`` flag.
+to serial eager execution, and persists its JSON document under
+``benchmarks/`` by default; ``tune`` measures the admissible algorithms
+per conv geometry, persists the winners to a shared wisdom file
+(``--wisdom``), and gates determinism plus the selected-vs-static
+ratio -- ``bench`` / ``serve-bench`` consume the same file via their
+own ``--wisdom`` flag.
 """
 
 from __future__ import annotations
@@ -501,65 +497,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_load_bench(args: argparse.Namespace) -> int:
-    from .serve import loadgen
-
-    tenants = (("vgg", "vgg", "lowino"), ("resnet", "resnet", "int8_upcast"))
-    if args.single_tenant:
-        tenants = tenants[:1]
-    cfg = loadgen.LoadBenchConfig(
-        tenants=tenants,
-        width=args.width,
-        hw=args.hw,
-        m=args.m,
-        horizon_s=args.horizon,
-        base_rate=args.rate,
-        overload_rate=args.overload_rate,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        queue_size=args.queue_size,
-        workers=args.workers,
-        mode=args.mode,
-        speed=args.speed,
-        seed=args.seed,
-    )
-    try:
-        doc = loadgen.run_load_bench(cfg, wisdom=args.wisdom)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(loadgen.format_load_bench(doc))
-    out = None if args.no_out else (args.out or loadgen.DEFAULT_BENCH_PATH)
-    if out:
-        loadgen.write_json(doc, out)
-        print(f"wrote {out}")
-    baseline = None
-    if args.baseline:
-        if args.update_baseline:
-            loadgen.write_json(doc, args.baseline)
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = loadgen.load_json(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
-    violations = loadgen.check_load_gate(
-        doc,
-        baseline=baseline,
-        p95_factor=args.gate_p95,
-        shed_tolerance=args.gate_shed,
-    )
-    if violations:
-        print(f"\nload gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
-        return 1
-    against = f", baseline {args.baseline}" if baseline is not None else ""
-    print(f"\nload gate: PASS (bit-identity + backpressure{against})")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LoWino reproduction experiment runner"
@@ -677,8 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     ppr.add_argument("--overhead", action="store_true",
                      help="also measure instrumentation overhead (none vs "
                           "disabled vs enabled tracer) and gate it")
-    ppr.add_argument("--overhead-repeats", type=int, default=5,
-                     help="interleaved best-of repeats for --overhead (default 5)")
+    ppr.add_argument("--overhead-repeats", type=int, default=25,
+                     help="alternating-order rounds for --overhead; each mode's "
+                          "overhead is the median of its per-round ratio to "
+                          "the untraced run (default 25)")
     ppr.add_argument("--gate", type=float, default=0.05,
                      help="allowed enabled-tracer overhead fraction (default 0.05)")
     ppr.add_argument("--stage-baseline", default=None,
@@ -755,62 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="wisdom file (repro tune) applying tuned algorithm "
                           "choices to the served session")
     psv.set_defaults(fn=_cmd_serve_bench)
-
-    plb = sub.add_parser(
-        "load-bench",
-        help="open-loop trace-driven load harness: SLO latency/goodput/"
-             "shed-rate sweep (bit-identity gated)",
-    )
-    plb.add_argument("--mode", choices=("virtual", "realtime"), default="virtual",
-                     help="virtual = wall-clock-free replay (default); "
-                          "realtime = submit at scheduled instants")
-    plb.add_argument("--speed", type=float, default=1.0,
-                     help="realtime schedule compression factor (default 1)")
-    plb.add_argument("--horizon", type=float, default=2.0,
-                     help="trace horizon in (virtual) seconds (default 2)")
-    plb.add_argument("--rate", type=float, default=30.0,
-                     help="base Poisson rate per tenant, req/s (default 30)")
-    plb.add_argument("--overload-rate", type=float, default=600.0,
-                     help="offered rate for the overload scenario (default 600)")
-    plb.add_argument("--single-tenant", action="store_true",
-                     help="drop the multi-model tenancy scenario")
-    plb.add_argument("--width", type=int, default=8,
-                     help="tenant model width (default 8)")
-    plb.add_argument("--hw", type=int, default=8,
-                     help="input spatial size (default 8)")
-    plb.add_argument("--m", type=int, default=2,
-                     help="Winograd output tile size (default 2)")
-    plb.add_argument("--max-batch", type=int, default=16,
-                     help="micro-batcher image bound (default 16)")
-    plb.add_argument("--max-delay-ms", type=float, default=2.0,
-                     help="micro-batcher coalescing window (default 2ms)")
-    plb.add_argument("--queue-size", type=int, default=256,
-                     help="request queue bound for paced scenarios (default 256)")
-    plb.add_argument("--workers", type=int, default=1,
-                     help="server worker threads per model (default 1)")
-    plb.add_argument("--seed", type=int, default=2021,
-                     help="trace + tensor generator seed")
-    plb.add_argument("--gate-p95", type=float, default=4.0,
-                     help="allowed p95 factor vs baseline; <= 0 disables "
-                          "(default 4.0)")
-    plb.add_argument("--gate-shed", type=float, default=0.2,
-                     help="allowed absolute overload shed-rate drift vs "
-                          "baseline (default 0.2)")
-    plb.add_argument("--out", default=None,
-                     help="write the load-bench JSON document here "
-                          "(default: benchmarks/BENCH_serve_quick.json)")
-    plb.add_argument("--no-out", action="store_true",
-                     help="do not persist the JSON document")
-    plb.add_argument("--baseline", default=None,
-                     help="baseline JSON to gate schedule digests, shed rate, "
-                          "and p95 against")
-    plb.add_argument("--update-baseline", action="store_true",
-                     help="record this run as the new baseline (with --baseline)")
-    plb.add_argument("--wisdom", default=None,
-                     help="wisdom file (repro tune) applying tuned algorithm "
-                          "choices to every tenant session (baseline-compatible: "
-                          "selection never changes outputs or schedules)")
-    plb.set_defaults(fn=_cmd_load_bench)
 
     ptn = sub.add_parser(
         "tune",

@@ -248,17 +248,6 @@ class Histogram:
             ordered = sorted(self._samples)
         return nearest_rank(ordered, q)
 
-    def quantiles(self, qs: Iterable[float]) -> Dict[str, float]:
-        """Several nearest-rank percentiles from one sorted pass.
-
-        Returns ``{"p50": ..., "p99": ...}`` keyed like
-        :meth:`snapshot`; the reservoir is sorted once, so SLO
-        reporters can pull a whole tail profile at the cost of a single
-        percentile."""
-        with self._lock:
-            ordered = sorted(self._samples)
-        return {f"p{q:g}": nearest_rank(ordered, q) for q in qs}
-
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
             count, total = self.count, self.total
@@ -377,10 +366,10 @@ class MetricsRegistry:
     def find(self, name: str, **labels) -> Optional[Metric]:
         """Look up an owned metric without creating it (None if absent).
 
-        This is how SLO reporters reach the live reservoir behind e.g.
-        ``repro_request_latency_seconds{model="vgg"}`` -- read-only
-        access that cannot accidentally mint an empty metric under a
-        typo'd label set."""
+        This is how the background tuner reads the live
+        ``repro_queue_depth{model=...}`` gauge -- read-only access that
+        cannot accidentally mint an empty metric under a typo'd label
+        set."""
         frozen = _freeze_labels(labels)
         with self._lock:
             return self._metrics.get((name, frozen))

@@ -14,16 +14,16 @@ Two built-in self-checks keep the numbers honest:
   summed stage seconds must agree with the session's independent
   per-step timings (:func:`run_profile` reports the gap;
   ``tests/obs/test_profile.py`` gates it at 2%).
-* **Overhead** -- :func:`measure_overhead` interleaves best-of timing
-  over three modes (no tracer / tracer disabled / tracer enabled) on
-  bitwise-identical sessions and :func:`check_overhead_gate` fails if
-  enabled instrumentation costs more than 5% (CI runs this in the bench
-  smoke job).
+* **Overhead** -- :func:`measure_overhead` times three modes (no
+  tracer / tracer disabled / tracer enabled) on bitwise-identical
+  sessions in alternating-order rounds and takes the median of each
+  mode's per-round ratio to the untraced run; :func:`check_overhead_gate`
+  fails if enabled instrumentation costs more than 5% (CI runs this in
+  the bench smoke job).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -181,15 +181,18 @@ def format_profile(doc: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def measure_overhead(config: ProfileConfig, repeats: int = 5) -> Dict[str, Any]:
+def measure_overhead(config: ProfileConfig, repeats: int = 25) -> Dict[str, Any]:
     """Measured instrumentation cost: none vs disabled vs enabled tracer.
 
     The three sessions share one prepared model (identical weights and
-    engine objects), run the same input, and are timed best-of
-    interleaved -- round-robin over the modes each repeat, so ambient
-    host noise hits all three equally instead of biasing whichever ran
-    last.  Outputs are checked bitwise identical across modes first:
-    instrumentation must never change results.
+    engine objects) and run the same input.  Each of ``repeats`` rounds
+    runs every mode once, in forward order on even rounds and reversed
+    on odd ones, so no mode always follows the same neighbour.  A
+    mode's overhead is the median over rounds of ``t_mode / t_none``
+    within the round, minus one: pairing inside a round cancels the
+    host's slower speed phases, and the median drops the rounds a phase
+    change split.  Outputs are checked bitwise identical across modes
+    first: instrumentation must never change results.
     """
     import time
 
@@ -204,20 +207,21 @@ def measure_overhead(config: ProfileConfig, repeats: int = 5) -> Dict[str, Any]:
         np.array_equal(outs["none"], outs["disabled"])
         and np.array_equal(outs["none"], outs["enabled"])
     )
-    best = {mode: math.inf for mode in sessions}
-    for _ in range(max(1, repeats)):
-        for mode, sess in sessions.items():
+    order = list(sessions)
+    walls: Dict[str, List[float]] = {mode: [] for mode in sessions}
+    for round_ in range(max(1, repeats)):
+        for mode in order if round_ % 2 == 0 else order[::-1]:
             t0 = time.perf_counter()
-            sess.run(x)
-            best[mode] = min(best[mode], time.perf_counter() - t0)
-    base = best["none"]
+            sessions[mode].run(x)
+            walls[mode].append(time.perf_counter() - t0)
+    base = np.asarray(walls["none"])
     return {
         "config": asdict(config),
         "repeats": repeats,
-        "wall_s": dict(best),
+        "wall_s": {mode: float(np.median(w)) for mode, w in walls.items()},
         "overhead": {
-            "disabled": best["disabled"] / base - 1.0,
-            "enabled": best["enabled"] / base - 1.0,
+            mode: float(np.median(np.asarray(walls[mode]) / base)) - 1.0
+            for mode in ("disabled", "enabled")
         },
         "outputs_identical": identical,
     }
@@ -260,7 +264,7 @@ def format_overhead(doc: Dict[str, Any]) -> str:
         [
             f"Instrumentation overhead -- model={cfg['model']} "
             f"algorithm={cfg['algorithm']} batch={cfg['batch']} hw={cfg['hw']} "
-            f"best-of-{doc['repeats']} interleaved",
+            f"median of {doc['repeats']} paired rounds",
             f"  no tracer:       {wall['none'] * 1e3:8.3f}ms",
             f"  tracer disabled: {wall['disabled'] * 1e3:8.3f}ms "
             f"({over['disabled'] * 100:+.2f}%)",

@@ -88,8 +88,8 @@ _INT16_MAX = int(np.iinfo(np.int16).max)
 class FusedCall:
     """The scratch lease and tracer lap clock of one fused call.
 
-    ``buf`` returns a leased scratch buffer -- or a fresh array when
-    scratch is disabled -- so every stage has an ``out=`` target.
+    ``buf`` returns a leased scratch buffer, so every stage has an
+    ``out=`` target.
     """
 
     __slots__ = ("arena", "tracer", "t_lap")
@@ -100,8 +100,6 @@ class FusedCall:
         self.t_lap = t_lap
 
     def buf(self, name: str, shape, dtype) -> np.ndarray:
-        if self.arena is None:
-            return np.empty(tuple(shape), dtype=dtype)
         return self.arena.buf(name, tuple(shape), dtype)
 
     def lap(self, stage: str) -> None:

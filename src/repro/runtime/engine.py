@@ -62,13 +62,13 @@ class ExecutionEngine:
     it shares the process-wide plan cache so repeated ``conv2d`` calls
     and ``make_layer`` objects hit the same prepared state.
 
-    ``use_scratch`` enables reusable intermediate buffers.  The engine
-    owns one :class:`~repro.runtime.plan.ScratchPool` (``scratch``) of
-    *leased* grow-to-fit arenas: each ``execute`` call acquires a private
-    arena for its duration and releases it on return.  A run's layers
-    execute one after another and every output is a fresh array, never
-    a view of the lease, so the pool settles at one arena per concurrent
-    run, sized by the largest call, and reports contention via its
+    The engine owns one :class:`~repro.runtime.plan.ScratchPool`
+    (``scratch``) of *leased* grow-to-fit arenas for the intermediate
+    buffers: each ``execute`` call acquires a private arena for its
+    duration and releases it on return.  A run's layers execute one
+    after another and every output is a fresh array, never a view of
+    the lease, so the pool settles at one arena per concurrent run,
+    sized by the largest call, and reports contention via its
     :class:`~repro.runtime.plan.LeaseStats`.
 
     ``tracer`` (a :class:`~repro.obs.tracer.StageTracer`) lap-times the
@@ -81,11 +81,9 @@ class ExecutionEngine:
     def __init__(
         self,
         cache: Optional[PlanCache] = None,
-        use_scratch: bool = True,
         tracer: Optional[Any] = None,
     ):
         self.cache = cache if cache is not None else default_cache()
-        self.use_scratch = use_scratch
         self.tracer = tracer
         self.scratch = ScratchPool()
 
@@ -146,14 +144,13 @@ class ExecutionEngine:
         p = plan.layer.padding
         h, w = images.shape[2] + 2 * p, images.shape[3] + 2 * p
         grid = tile_grid(alg, h, w) if alg is not None else None
-        arena = self.scratch.acquire() if self.use_scratch else None
+        arena = self.scratch.acquire()
         try:
             call = FusedCall(arena, tr, t0)
             out = PIPELINES[plan.algorithm](call, plan, images, grid)
             return epilogue(call, out, bias, relu)
         finally:
-            if arena is not None:
-                self.scratch.release(arena)
+            self.scratch.release(arena)
 
 
 class RuntimeLayer:

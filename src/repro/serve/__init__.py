@@ -18,13 +18,9 @@ concurrent callers.  This package provides that deployment shape:
 * :mod:`~repro.serve.bench` -- ``repro serve-bench``: throughput vs
   client-thread count with a hard bit-identity gate against serial
   eager execution;
-* :mod:`~repro.serve.workload` -- seeded open-loop traffic traces:
-  Poisson / bursty (MMPP) arrivals, heavy-tailed request-size mixes,
-  multi-model tenancy, with schedule digests proving determinism;
-* :mod:`~repro.serve.loadgen` -- ``repro load-bench``: replays traces
-  open-loop (virtual clock for tests, real-time for benchmarking) and
-  reports SLO-style p50/p95/p99, goodput vs offered load, and shed
-  rate from the obs registry's reservoir histograms;
+* :mod:`~repro.serve.workload` -- seeded request traces (which model,
+  how many images, which payload seed), with a digest proving two runs
+  served the same schedule;
 * :mod:`~repro.serve.procs` / :mod:`~repro.serve.router` -- the
   process tier: :class:`~repro.serve.router.ProcServer` shards
   execution across N worker processes (each compiling its own session
@@ -45,39 +41,29 @@ Quick use::
 """
 
 from .batching import InferenceFuture, Request, RequestQueue, ServerClosed, ServerOverloaded
-from .loadgen import LoadBenchConfig, ReplayResult, replay, run_load_bench
 from .procs import ProcPool, RemoteExecutionError, WorkerError
 from .router import ProcServer, RemoteSession
 from .server import ServedModel, Server
 from .stats import LatencyStats, ModelStats
 from .workload import (
-    BurstyArrivals,
     FixedSizes,
-    LognormalSizes,
     ModelWorkload,
-    PoissonArrivals,
     Trace,
     TraceEvent,
     UniformArrivals,
-    ZipfSizes,
     build_trace,
 )
 
 __all__ = [
-    "BurstyArrivals",
     "FixedSizes",
     "InferenceFuture",
     "LatencyStats",
-    "LoadBenchConfig",
-    "LognormalSizes",
     "ModelStats",
     "ModelWorkload",
-    "PoissonArrivals",
     "ProcPool",
     "ProcServer",
     "RemoteExecutionError",
     "RemoteSession",
-    "ReplayResult",
     "Request",
     "RequestQueue",
     "ServedModel",
@@ -88,8 +74,5 @@ __all__ = [
     "TraceEvent",
     "UniformArrivals",
     "WorkerError",
-    "ZipfSizes",
     "build_trace",
-    "replay",
-    "run_load_bench",
 ]

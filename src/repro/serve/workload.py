@@ -1,71 +1,39 @@
-"""Trace-driven serving workloads: seeded arrivals, sizes, tenancy.
+"""Seeded request traces: which model, how many images, which payload.
 
-``repro serve-bench`` drives uniform *closed-loop* clients: every
-thread waits for its previous answer before sending the next request,
-so the offered load adapts to the server and the measured latency can
-never exhibit the queueing tails real traffic produces.  Production
-arrivals are **open-loop** -- requests show up on their own schedule
-whether or not the server is keeping up -- and they are neither uniform
-in time (diurnal bursts, retry storms) nor in size (heavy-tailed batch
-mixes) nor in tenant (many models share one box).
+A **trace** is built ahead of time as data: a time-sorted sequence of
+:class:`TraceEvent`\\ s, each naming the target model, the request's
+image count, and the seed its activation tensor is derived from.
+Because the schedule is data (not live RNG draws interleaved with
+serving), the same seed yields a bit-identical schedule on every host,
+and ``Trace.digest()`` hashes the exact event tuples so two runs can
+*prove* they served the same workload.  The repository benchmark's
+``serve-saturated`` workload takes its request sizes and payload keys
+from such a trace and records its digest.
 
-This module builds that schedule *ahead of time* as a deterministic,
-seeded **trace**: a time-sorted sequence of :class:`TraceEvent`\\ s,
-each naming the target model, the request's image count, and the seed
-its activation tensor is derived from.  Because the trace is data (not
-live RNG draws interleaved with serving), the same seed yields a
-bit-identical schedule on every host -- ``Trace.digest()`` hashes the
-exact event tuples so two runs can *prove* they replayed the same
-workload -- and the eager reference outputs for the bit-identity gate
-can be computed serially from the trace alone.
-
-Arrival processes (all per-model, merged by :func:`build_trace`):
-
-* :class:`PoissonArrivals` -- memoryless arrivals at ``rate`` req/s
-  (exponential inter-arrivals), the classic open-loop baseline.
-* :class:`BurstyArrivals` -- a two-state Markov-modulated Poisson
-  process (MMPP): exponentially-dwelling *burst* and *idle* states,
-  each with its own Poisson rate.  Its inter-arrival CV^2 > 1 is what
-  stresses tail latency and the micro-batcher's coalescing window in a
-  way no uniform client sweep can.
-* :class:`UniformArrivals` -- fixed-spacing arrivals (the closed-loop
-  sweep's character, kept for A/B comparisons against the above).
-
-Request-size mixes:
-
-* :class:`FixedSizes` -- every request carries the same image count.
-* :class:`ZipfSizes` -- bounded Zipf over ``1..max_images`` (mass
-  ``1/k**alpha``), sampled by inverse CDF so the draw is reproducible
-  and bounded (NumPy's ``Generator.zipf`` is unbounded).
-* :class:`LognormalSizes` -- rounded, clipped lognormal -- the
-  "mostly small, occasionally huge" mix that exercises the
-  ``max_batch`` splitting path.
-
-Everything is seeded through :func:`numpy.random.default_rng` with
-per-(workload, stream) :class:`numpy.random.SeedSequence` keys, so
-adding a tenant to a spec never perturbs another tenant's schedule.
+Each tenant (:class:`ModelWorkload`) pairs an arrival process -- any
+object with ``times(horizon_s, rng)``, e.g. :class:`UniformArrivals` --
+with a size sampler -- any object with ``sample(n, rng)``, e.g.
+:class:`FixedSizes`.  :func:`build_trace` seeds every tenant through
+its own :class:`numpy.random.SeedSequence` streams, so adding a tenant
+to a spec never perturbs another tenant's schedule.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "ArrivalProcess",
-    "BurstyArrivals",
     "FixedSizes",
-    "LognormalSizes",
     "ModelWorkload",
-    "PoissonArrivals",
     "SizeSampler",
     "Trace",
     "TraceEvent",
     "UniformArrivals",
-    "ZipfSizes",
     "build_trace",
 ]
 
@@ -73,32 +41,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # arrival processes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoissonArrivals:
-    """Memoryless arrivals at ``rate`` requests/second."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-
-    def times(self, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
-        """Arrival instants in ``[0, horizon_s)``, strictly sorted."""
-        out: List[np.ndarray] = []
-        t = 0.0
-        # Draw in chunks sized to the expectation; loop until past the
-        # horizon so the tail is never truncated mid-chunk.
-        chunk = max(16, int(self.rate * horizon_s * 1.2) + 4)
-        while t < horizon_s:
-            gaps = rng.exponential(1.0 / self.rate, size=chunk)
-            times = t + np.cumsum(gaps)
-            out.append(times)
-            t = float(times[-1])
-        times = np.concatenate(out)
-        return times[times < horizon_s]
 
 
 @dataclass(frozen=True)
@@ -114,61 +56,6 @@ class UniformArrivals:
     def times(self, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
         n = int(np.floor(self.rate * horizon_s))
         return (np.arange(n) + 0.5) / self.rate
-
-
-@dataclass(frozen=True)
-class BurstyArrivals:
-    """Two-state MMPP: Poisson bursts separated by quiet periods.
-
-    The process alternates between a *burst* state (arrivals at
-    ``burst_rate``) and an *idle* state (``idle_rate``); state dwell
-    times are exponential with means ``mean_burst_s`` / ``mean_idle_s``.
-    ``duty_cycle`` is the long-run fraction of time spent bursting, so
-    the mean offered rate is ``duty_cycle * burst_rate +
-    (1 - duty_cycle) * idle_rate``.
-    """
-
-    burst_rate: float
-    idle_rate: float
-    mean_burst_s: float
-    mean_idle_s: float
-
-    def __post_init__(self) -> None:
-        if self.burst_rate <= 0:
-            raise ValueError(f"burst_rate must be > 0, got {self.burst_rate}")
-        if self.idle_rate < 0:
-            raise ValueError(f"idle_rate must be >= 0, got {self.idle_rate}")
-        if self.mean_burst_s <= 0 or self.mean_idle_s <= 0:
-            raise ValueError("state dwell means must be > 0")
-
-    @property
-    def duty_cycle(self) -> float:
-        """Long-run fraction of time in the burst state."""
-        return self.mean_burst_s / (self.mean_burst_s + self.mean_idle_s)
-
-    @property
-    def mean_rate(self) -> float:
-        """Long-run offered rate in requests/second."""
-        d = self.duty_cycle
-        return d * self.burst_rate + (1.0 - d) * self.idle_rate
-
-    def times(self, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
-        out: List[float] = []
-        t = 0.0
-        bursting = True  # deterministic convention: start in a burst
-        while t < horizon_s:
-            mean_dwell = self.mean_burst_s if bursting else self.mean_idle_s
-            dwell = float(rng.exponential(mean_dwell))
-            end = min(t + dwell, horizon_s)
-            rate = self.burst_rate if bursting else self.idle_rate
-            if rate > 0:
-                u = t + float(rng.exponential(1.0 / rate))
-                while u < end:
-                    out.append(u)
-                    u += float(rng.exponential(1.0 / rate))
-            t += dwell
-            bursting = not bursting
-        return np.asarray(out, dtype=np.float64)
 
 
 #: Anything with ``times(horizon_s, rng) -> ndarray`` of sorted instants.
@@ -194,55 +81,6 @@ class FixedSizes:
         return np.full(n, self.images, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ZipfSizes:
-    """Bounded Zipf over ``1..max_images``: P(k) proportional to 1/k^alpha.
-
-    Sampled by inverse CDF on ``rng.random()`` so draws are bounded and
-    reproducible (``Generator.zipf`` has unbounded support).
-    """
-
-    alpha: float = 1.5
-    max_images: int = 8
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.max_images < 1:
-            raise ValueError(f"max_images must be >= 1, got {self.max_images}")
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        k = np.arange(1, self.max_images + 1, dtype=np.float64)
-        cdf = np.cumsum(k**-self.alpha)
-        cdf /= cdf[-1]
-        return np.searchsorted(cdf, rng.random(n), side="right") + 1
-
-
-@dataclass(frozen=True)
-class LognormalSizes:
-    """Rounded lognormal sizes clipped to ``1..max_images``.
-
-    ``median_images`` is the distribution's median (``exp(mu)``);
-    ``sigma`` controls the tail weight.
-    """
-
-    median_images: float = 2.0
-    sigma: float = 0.75
-    max_images: int = 16
-
-    def __post_init__(self) -> None:
-        if self.median_images < 1:
-            raise ValueError(f"median_images must be >= 1, got {self.median_images}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.max_images < 1:
-            raise ValueError(f"max_images must be >= 1, got {self.max_images}")
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.lognormal(mean=np.log(self.median_images), sigma=self.sigma, size=n)
-        return np.clip(np.rint(raw).astype(np.int64), 1, self.max_images)
-
-
 #: Anything with ``sample(n, rng) -> ndarray`` of positive ints.
 SizeSampler = object
 
@@ -265,10 +103,9 @@ class ModelWorkload:
 class TraceEvent:
     """One scheduled request.
 
-    ``t`` is seconds from trace start; ``payload_seed`` deterministically
-    derives the request's activation tensor (see
-    :func:`repro.serve.loadgen.event_payload`), so a trace fully
-    determines both the schedule *and* the bytes served.
+    ``t`` is seconds from trace start; ``payload_seed`` is the seed a
+    consumer derives the request's activation tensor from, so a trace
+    fully determines both the schedule *and* the bytes served.
     """
 
     t: float
@@ -290,7 +127,7 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Trace:
-    """A complete, replayable open-loop schedule."""
+    """A complete, replayable request schedule."""
 
     seed: int
     horizon_s: float
@@ -302,23 +139,6 @@ class Trace:
     @property
     def models(self) -> List[str]:
         return sorted({e.model for e in self.events})
-
-    @property
-    def total_images(self) -> int:
-        return sum(e.n_images for e in self.events)
-
-    def offered_rps(self) -> float:
-        """Offered request rate over the trace horizon."""
-        return len(self.events) / self.horizon_s if self.horizon_s > 0 else 0.0
-
-    def per_model(self) -> Dict[str, Dict[str, float]]:
-        """Offered requests/images per tenant."""
-        out: Dict[str, Dict[str, float]] = {}
-        for event in self.events:
-            entry = out.setdefault(event.model, {"requests": 0, "images": 0})
-            entry["requests"] += 1
-            entry["images"] += event.n_images
-        return out
 
     def digest(self) -> str:
         """SHA-256 over the exact event tuples (schedule identity proof)."""

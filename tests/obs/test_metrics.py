@@ -119,20 +119,6 @@ class TestHistogram:
         assert hist.percentile(95) == 10.0
         assert hist.percentile(50) == 10.0
 
-    def test_quantiles_match_individual_percentiles(self):
-        hist = Histogram("lat", max_samples=512, seed=7)
-        rng = np.random.default_rng(12)
-        for v in rng.lognormal(0.0, 1.0, size=2000):
-            hist.observe(float(v))
-        qs = (50.0, 90.0, 95.0, 99.0)
-        doc = hist.quantiles(qs)
-        assert set(doc) == {"p50", "p90", "p95", "p99"}
-        for q in qs:
-            assert doc[f"p{q:g}"] == hist.percentile(q)
-
-    def test_quantiles_empty_reservoir_is_zero(self):
-        assert Histogram("lat").quantiles((50.0, 99.0)) == {"p50": 0.0, "p99": 0.0}
-
     def test_snapshot_consistent_under_concurrent_observes(self):
         hist = Histogram("lat", max_samples=128)
         stop = threading.Event()

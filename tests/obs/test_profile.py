@@ -1,5 +1,7 @@
 """``repro profile``: stage coverage, timing agreement, overhead gate."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.obs.profile import (
     measure_overhead,
     run_profile,
 )
+from repro.obs.tracer import StageTracer
 
 #: Small-but-real quantized workload for structure checks (fast).
 SMALL = ProfileConfig(model="vgg", algorithm="lowino", hw=8, width=8, m=2, runs=2)
@@ -98,6 +101,28 @@ class TestOverhead:
             "outputs_identical": True,
         }
         assert check_overhead_gate(doc, limit=0.05) == []
+
+    def test_injected_enabled_tracer_cost_fails_the_gate(self, monkeypatch):
+        """Each enabled lap busy-waits as long as the stage it timed, so
+        tracing roughly doubles the traced work; the measured overhead
+        must show it and the 5% gate must fail on it.  This runs the CI
+        gate's workload, where real tracing costs about 1%: on a tiny
+        model the fixed per-lap cost alone can exceed 5%."""
+        lap = StageTracer.lap
+
+        def busy_lap(self, stage, t0):
+            now = lap(self, stage, t0)
+            end = now + (now - t0)
+            while time.perf_counter() < end:
+                pass
+            return time.perf_counter()
+
+        monkeypatch.setattr(StageTracer, "lap", busy_lap)
+        doc = measure_overhead(ProfileConfig())
+        assert doc["outputs_identical"] is True
+        assert doc["overhead"]["enabled"] >= 0.10
+        violations = check_overhead_gate(doc, limit=0.05)
+        assert any(v.startswith("enabled tracer overhead") for v in violations)
 
 
 class TestTracingDoesNotChangeResults:

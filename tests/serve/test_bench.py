@@ -1,10 +1,10 @@
 """serve-bench: document schema, bit-identity, and gate semantics.
 
 The closed-loop sweep's bit-identity gate is extended here to
-**non-uniform open-loop arrivals**: a bursty multi-model trace replayed
-through the server must still return, for every request, exactly the
-bytes serial eager execution produces -- whatever micro-batches the
-arrival pattern happens to coalesce.
+**ragged, bursty two-tenant traffic**: seeded bursts of 1-5-image
+requests for two models must still return, for every request, exactly
+the bytes serial eager execution produces -- whatever micro-batches
+the bursts happen to coalesce.
 """
 
 import json
@@ -12,7 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import loadgen
+from repro.nn.quantize import quantize_model
+from repro.runtime import InferenceSession
+from repro.runtime.bench import ModelCase, build_case_model
 from repro.serve.bench import (
     SCHEMA_VERSION,
     ProcBenchConfig,
@@ -26,15 +28,7 @@ from repro.serve.bench import (
     run_serve_bench,
     write_json,
 )
-from repro.serve.loadgen import LoadBenchConfig, event_payload, output_digest, replay
 from repro.serve.server import Server
-from repro.serve.workload import (
-    BurstyArrivals,
-    ModelWorkload,
-    PoissonArrivals,
-    ZipfSizes,
-    build_trace,
-)
 
 pytestmark = pytest.mark.concurrency
 
@@ -88,68 +82,68 @@ class TestDocument:
 
 
 class TestOpenLoopIdentity:
-    """The bit-identity gate under non-uniform arrivals.
+    """The bit-identity gate under ragged, bursty two-tenant traffic.
 
     The closed-loop sweep above coalesces whatever N synchronized
-    clients produce; here a bursty two-tenant open-loop trace drives
-    the batcher through ragged, shifting batch compositions -- and
-    every response must still be bitwise the serial eager result.
+    clients produce; here each burst of a seeded request sequence is
+    submitted without waiting for answers, so the batcher sees ragged,
+    shifting batch compositions across a ``lowino`` and an
+    ``int8_upcast`` tenant -- and every response must still be bitwise
+    the serial eager result.
     """
+
+    TENANTS = {"vgg": "lowino", "resnet": "int8_upcast"}
 
     @pytest.fixture(scope="class")
     def tenants(self):
-        cfg = LoadBenchConfig(
-            tenants=(("vgg", "vgg", "lowino"), ("resnet", "resnet", "int8_upcast")),
-            width=8,
-            hw=8,
-            m=2,
-        )
-        return loadgen._build_tenants(cfg)
+        out = {}
+        for family, algorithm in self.TENANTS.items():
+            model = build_case_model(ModelCase(family, algorithm, hw=8, width=8, m=2))
+            calib = np.random.default_rng(2021).standard_normal((2, 3, 8, 8))
+            quantize_model(model, algorithm, m=2, calibration_batches=[calib])
+            out[family] = (model, InferenceSession(model, (2, 3, 8, 8)))
+        return out
 
-    def make_trace(self, seed=31):
-        return build_trace(
+    @pytest.fixture(scope="class")
+    def bursts(self):
+        """Eight bursts of 1-8 ``(tenant, images)`` requests, 1-5 images each."""
+        rng = np.random.default_rng(31)
+        names = sorted(self.TENANTS)
+        return [
             [
-                ModelWorkload(
-                    "vgg",
-                    BurstyArrivals(150.0, 5.0, mean_burst_s=0.2, mean_idle_s=0.3),
-                    ZipfSizes(alpha=1.4, max_images=5),
-                ),
-                ModelWorkload(
-                    "resnet", PoissonArrivals(40.0), ZipfSizes(alpha=1.4, max_images=3)
-                ),
-            ],
-            1.0,
-            seed=seed,
-        )
+                (names[int(rng.integers(len(names)))],
+                 rng.standard_normal((int(rng.integers(1, 6)), 3, 8, 8)))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            for _ in range(8)
+        ]
 
-    def run_trace(self, tenants, trace):
-        server = Server(max_batch=16, max_delay_ms=2.0, queue_size=256)
-        for name in trace.models:
-            server.add_model(name, session=tenants[name][1])
-        result = replay(server, trace, mode="virtual", submit_timeout=None)
-        server.close()
-        return result
+    def replay(self, tenants, bursts):
+        outputs = []
+        with Server(max_batch=16, max_delay_ms=2.0, queue_size=256) as server:
+            for name, (_, session) in tenants.items():
+                server.add_model(name, session=session)
+            for burst in bursts:
+                futures = [server.submit(name, x, timeout=None) for name, x in burst]
+                outputs.extend(f.result(timeout=120.0) for f in futures)
+        return outputs
 
-    def test_bursty_multi_model_trace_is_bit_identical_to_eager(self, tenants):
-        trace = self.make_trace()
-        result = self.run_trace(tenants, trace)
-        assert result.shed == 0
-        assert result.completed == len(trace)
-        for event in trace.events:
-            x = event_payload(trace, event, (3, 8, 8))
-            expected = tenants[event.model][0](x)
-            got = result.outputs[event.request_id]
+    def test_bursty_multi_model_trace_is_bit_identical_to_eager(self, tenants, bursts):
+        requests = [req for burst in bursts for req in burst]
+        outputs = self.replay(tenants, bursts)
+        assert len(outputs) == len(requests)
+        for k, ((name, x), got) in enumerate(zip(requests, outputs)):
+            expected = tenants[name][0](x)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected), (
-                f"request {event.request_id} ({event.model}, "
-                f"{event.n_images} images) diverged from serial eager"
+                f"request {k} ({name}, {x.shape[0]} images) diverged from "
+                f"serial eager"
             )
 
-    def test_same_seed_replays_serve_identical_bytes(self, tenants):
-        trace = self.make_trace()
-        first = self.run_trace(tenants, trace)
-        second = self.run_trace(tenants, trace)
-        assert output_digest(first.outputs) == output_digest(second.outputs)
+    def test_same_seed_replays_serve_identical_bytes(self, tenants, bursts):
+        first = self.replay(tenants, bursts)
+        second = self.replay(tenants, bursts)
+        assert [y.tobytes() for y in first] == [y.tobytes() for y in second]
 
 
 class TestGate:

@@ -16,7 +16,6 @@ import pytest
 from repro.obs.profile import ProfileConfig
 from repro.runtime.bench import BenchProfile
 from repro.serve.bench import ProcBenchConfig, ServeBenchConfig
-from repro.serve.loadgen import LoadBenchConfig
 from repro.tuning.bench import TuneBenchConfig
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -26,7 +25,6 @@ PRODUCERS = {
     "BENCH_baseline_quick.json": ("profile", BenchProfile),
     "BENCH_runtime.json": ("profile", BenchProfile),
     "BENCH_serve_procs.json": ("config", ProcBenchConfig),
-    "BENCH_serve_quick.json": ("config", LoadBenchConfig),
     "BENCH_serve_threads.json": ("config", ServeBenchConfig),
     "BENCH_stages.json": ("config", ProfileConfig),
     "BENCH_stages_fp32.json": ("config", ProfileConfig),

@@ -19,7 +19,6 @@ SUBCOMMANDS = [
     "bench",
     "profile",
     "serve-bench",
-    "load-bench",
     "tune",
 ]
 
@@ -258,36 +257,6 @@ class TestHappyPaths:
         assert main(["serve-bench", "--procs", "1,zero"]) == 2
         assert main(["serve-bench", "--procs", "0"]) == 2
         assert main(["serve-bench", "--procs", "1",
-                     "--baseline", str(tmp_path / "nope.json")]) == 2
-
-    def test_load_bench_run_and_baseline_round_trip(self, tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "serve_baseline.json"
-        args = ["load-bench", "--single-tenant", "--horizon", "0.4",
-                "--rate", "20", "--overload-rate", "250"]
-        # First run: default persistence + record the baseline.
-        assert main(args + ["--baseline", str(baseline),
-                            "--update-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "load-bench" not in out  # table, not argparse usage
-        default = tmp_path / "benchmarks" / "BENCH_serve_quick.json"
-        doc = json.loads(default.read_text())
-        assert doc["schema"] == 1
-        assert doc["summary"]["exact"] is True
-        assert doc["summary"]["deterministic_outputs"] is True
-        assert baseline.is_file()
-        # Second run, same seed: schedule digests match the baseline and
-        # every gate (identity, sheds, p95 factor) passes.
-        assert main(args + ["--no-out", "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identity vs serial eager: yes" in out
-        assert "load gate: PASS" in out
-
-    def test_load_bench_missing_baseline(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["load-bench", "--single-tenant", "--horizon", "0.2",
-                     "--rate", "15", "--overload-rate", "200", "--no-out",
                      "--baseline", str(tmp_path / "nope.json")]) == 2
 
     def test_tune_wisdom_round_trip(self, tmp_path, capsys):
