@@ -20,18 +20,24 @@ direct oracle and gates the error statistics against ``tests/golden``;
 workloads and can gate speedup ratios against a checked-in baseline;
 ``serve-bench`` measures the micro-batching server's throughput vs
 concurrent client count, with every served result gated bit-identical
-to serial eager execution, and persists its JSON document under
-``benchmarks/`` by default; ``tune`` measures the admissible algorithms
+to serial eager execution; ``tune`` measures the admissible algorithms
 per conv geometry, persists the winners to a shared wisdom file
 (``--wisdom``), and gates determinism plus the selected-vs-static
 ratio -- ``bench`` / ``serve-bench`` consume the same file via their
 own ``--wisdom`` flag.
+
+The perf commands (``bench``, ``profile``, ``serve-bench``, ``tune``)
+share one exit path: the checks that need no baseline run first and a
+failure writes nothing; ``--out PATH`` writes the JSON document;
+``--baseline PATH`` gates it against a committed document, or with
+``--update-baseline`` writes it there instead of comparing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -190,6 +196,66 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Usage(Exception):
+    """Bad command-line input: ``main`` prints the message and exits 2."""
+
+
+def _baseline(args: argparse.Namespace) -> Optional[dict]:
+    """The ``--baseline`` document to gate against, read before the run.
+
+    None when no baseline was given or when ``--update-baseline``
+    records this run there instead.
+    """
+    from .runtime.bench import load_json
+
+    if args.update_baseline and not args.baseline:
+        raise _Usage("--update-baseline needs --baseline PATH")
+    if not args.baseline or args.update_baseline:
+        return None
+    try:
+        return load_json(args.baseline)
+    except (OSError, ValueError) as exc:
+        raise _Usage(f"cannot read --baseline {args.baseline}: {exc}") from None
+
+
+def _finish(
+    args: argparse.Namespace,
+    gate: str,
+    doc: dict,
+    check: Callable[[dict, Optional[dict]], List[str]],
+    baseline: Optional[dict],
+    passed: str,
+) -> int:
+    """Gate ``doc``, persist it and report: the exit of every perf command.
+
+    ``check(doc, None)`` holds the checks no baseline is needed for
+    (bit-identity, determinism, never-regress, convergence, overhead);
+    they run first, and a failure writes nothing.  Then ``--out``
+    receives the document, and ``--baseline`` either records it (with
+    ``--update-baseline``) or gates it with ``check(doc, baseline)``.
+    """
+    from .runtime.bench import write_json
+
+    violations = check(doc, None)
+    if not violations:
+        if args.out:
+            write_json(doc, args.out)
+            print(f"wrote {args.out}")
+        if args.update_baseline:
+            write_json(doc, args.baseline)
+            print(f"wrote baseline {args.baseline}")
+        elif baseline is not None:
+            violations = check(doc, baseline)
+            passed += f", baseline {args.baseline}"
+    if violations:
+        print(f"\n{gate} gate: {len(violations)} VIOLATION(S)")
+        for v in violations:
+            print(f"  {v}")
+        return 1
+    print(f"\n{gate} gate: PASS ({passed})")
+    return 0
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -223,13 +289,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         algorithms = ALGORITHMS
 
-    doc = rbench.run_bench(
-        profile,
-        algorithms=algorithms,
-        seed=args.seed,
-        models=not args.no_models,
-        wisdom=args.wisdom,
-    )
+    baseline = _baseline(args)
+    try:
+        doc = rbench.run_bench(
+            profile,
+            algorithms=algorithms,
+            seed=args.seed,
+            models=not args.no_models,
+            wisdom=args.wisdom,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(rbench.format_bench(doc))
     if args.cache_stats:
         stats = doc["cache_stats"]
@@ -243,32 +314,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"model cache [{entry['name']}]: "
                 + "  ".join(f"{key}={stats[key]}" for key in sorted(stats))
             )
-    if args.out:
-        rbench.write_json(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        if args.update_baseline:
-            rbench.write_json(doc, args.baseline)
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = rbench.load_json(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
-        violations = rbench.check_regression(doc, baseline, gate=args.gate)
-        if violations:
-            print(f"\nbench gate: {len(violations)} VIOLATION(S)")
-            for v in violations:
-                print(f"  {v}")
-            return 1
-        print(f"\nbench gate: PASS (gate {args.gate:.0%}, baseline {args.baseline})")
-    return 0
+    return _finish(
+        args, "bench", doc,
+        lambda d, b: rbench.check_regression(d, b, gate=args.gate),
+        baseline, f"bit-identity, gate {args.gate:.0%}",
+    )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import profile as oprof
-    from .runtime.bench import load_json, write_json
 
     cfg = oprof.ProfileConfig(
         model=args.model,
@@ -280,55 +334,36 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=args.seed,
     )
+    baseline = _baseline(args)
     try:
         doc = oprof.run_profile(cfg)
+        print(oprof.format_profile(doc))
+        if args.overhead:
+            doc["overhead"] = oprof.measure_overhead(
+                cfg, repeats=args.overhead_repeats
+            )
+            print()
+            print(oprof.format_overhead(doc["overhead"]))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(oprof.format_profile(doc))
-    if args.stage_baseline:
-        if args.update_stage_baseline:
-            write_json(oprof.stage_baseline_doc(doc), args.stage_baseline)
-            print(f"wrote stage baseline {args.stage_baseline}")
-        else:
-            try:
-                baseline = load_json(args.stage_baseline)
-            except FileNotFoundError:
-                print(f"stage baseline not found: {args.stage_baseline}",
-                      file=sys.stderr)
-                return 2
-            print()
-            print(oprof.format_stage_gate(doc, baseline))
-            violations = oprof.check_stage_gate(
-                doc, baseline, tolerance=args.stage_tolerance
-            )
-            if violations:
-                print(f"\nstage gate: {len(violations)} VIOLATION(S)")
-                for v in violations:
-                    print(f"  {v}")
-                return 1
-            print(f"\nstage gate: PASS (tolerance "
-                  f"{args.stage_tolerance * 100:.0f}pp, "
-                  f"baseline {args.stage_baseline})")
-    overhead_doc = None
-    if args.overhead:
-        overhead_doc = oprof.measure_overhead(cfg, repeats=args.overhead_repeats)
+    if baseline is not None:
         print()
-        print(oprof.format_overhead(overhead_doc))
-        violations = oprof.check_overhead_gate(overhead_doc, limit=args.gate)
-        if violations:
-            print(f"\noverhead gate: {len(violations)} VIOLATION(S)")
-            for v in violations:
-                print(f"  {v}")
-            return 1
-        print(f"\noverhead gate: PASS (enabled instrumentation <= {args.gate:.0%})")
-    if args.out:
-        out_doc = dict(doc)
-        if overhead_doc is not None:
-            out_doc["overhead"] = overhead_doc
-        write_json(out_doc, args.out)
-        print(f"wrote {args.out}")
-    return 0
+        print(oprof.format_stage_gate(doc, baseline))
+
+    def check(d: dict, b: Optional[dict]) -> List[str]:
+        violations = (
+            oprof.check_overhead_gate(d["overhead"], limit=args.gate)
+            if "overhead" in d
+            else []
+        )
+        return violations + oprof.check_stage_gate(
+            d, b, tolerance=args.stage_tolerance
+        )
+
+    passed = [f"overhead <= {args.gate:.0%}"] if args.overhead else []
+    passed.append(f"stage shares within {args.stage_tolerance * 100:.0f}pp")
+    return _finish(args, "profile", doc, check, baseline, ", ".join(passed))
 
 
 def _parse_count_list(raw: str, flag: str) -> Optional[tuple]:
@@ -346,113 +381,64 @@ def _parse_count_list(raw: str, flag: str) -> Optional[tuple]:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from .serve import bench as sbench
 
-    if args.procs is not None:
-        return _run_proc_bench(args, sbench)
-    threads = _parse_count_list(args.threads, "--threads")
-    if threads is None:
-        return 2
-    cfg = sbench.ServeBenchConfig(
+    common = dict(
         model=args.model,
-        algorithm=args.algorithm if args.algorithm is not None else "lowino",
         width=args.width,
         hw=args.hw,
         m=args.m,
         request_batch=args.request_batch,
         requests_per_thread=args.requests,
-        threads=threads,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
-        workers=args.workers,
         seed=args.seed,
-        wisdom=args.wisdom,
     )
+    if args.procs is not None:
+        procs = _parse_count_list(args.procs, "--procs")
+        if procs is None:
+            return 2
+        cfg = sbench.ProcBenchConfig(
+            algorithm=args.algorithm if args.algorithm is not None else "int8_upcast",
+            client_threads=args.clients,
+            procs=procs,
+            wisdom=not args.no_proc_wisdom,
+            **common,
+        )
+        run = sbench.run_proc_bench
+    else:
+        threads = _parse_count_list(args.threads, "--threads")
+        if threads is None:
+            return 2
+        cfg = sbench.ServeBenchConfig(
+            algorithm=args.algorithm if args.algorithm is not None else "lowino",
+            threads=threads,
+            workers=args.workers,
+            wisdom=args.wisdom,
+            **common,
+        )
+        run = sbench.run_serve_bench
+    baseline = _baseline(args)
     try:
-        doc = sbench.run_serve_bench(cfg)
+        doc = run(cfg)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(sbench.format_serve_bench(doc))
-    out = None if args.no_out else (args.out or sbench.DEFAULT_BENCH_PATH)
-    if out:
-        sbench.write_json(doc, out)
-        print(f"wrote {out}")
-    violations = sbench.check_serve_gate(doc, min_speedup=args.gate)
-    if violations:
-        print(f"\nserve gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
-        return 1
-    print(f"\nserve gate: PASS (bit-identity + >= {args.gate:.2f}x throughput)")
-    return 0
-
-
-def _run_proc_bench(args: argparse.Namespace, sbench) -> int:
-    """``serve-bench --procs``: the multi-process worker-count sweep."""
-    procs = _parse_count_list(args.procs, "--procs")
-    if procs is None:
-        return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = sbench.load_json(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read --baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    cfg = sbench.ProcBenchConfig(
-        model=args.model,
-        algorithm=args.algorithm if args.algorithm is not None else "int8_upcast",
-        width=args.width,
-        hw=args.hw,
-        m=args.m,
-        request_batch=args.request_batch,
-        requests_per_thread=args.requests,
-        client_threads=args.clients,
-        procs=procs,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        wisdom=not args.no_proc_wisdom,
-        seed=args.seed,
-    )
-    try:
-        doc = sbench.run_proc_bench(cfg)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(sbench.format_proc_bench(doc))
-    # Unlike the thread sweep, the default run does NOT overwrite the
-    # committed baseline it is usually gated against; ``--update-baseline``
-    # regenerates it explicitly.
-    out = None
-    if not args.no_out:
-        out = args.out or (
-            sbench.DEFAULT_PROC_BENCH_PATH if args.update_baseline else None
-        )
-    if out:
-        sbench.write_json(doc, out)
-        print(f"wrote {out}")
-    violations = sbench.check_proc_gate(
-        doc, baseline=baseline, min_speedup=args.gate,
-        speedup_tolerance=args.speedup_tolerance,
-    )
-    if violations:
-        print(f"\nproc gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
-        return 1
-    parts = ["bit-identity"]
-    if cfg.wisdom:
-        parts.append("selection convergence")
+    passed = "bit-identity"
+    if args.procs is not None and cfg.wisdom:
+        passed += ", selection convergence"
     if args.gate > 0:
-        parts.append(f">= {args.gate:.2f}x throughput")
-    if baseline is not None:
-        parts.append("baseline ratio")
-    print(f"\nproc gate: PASS ({' + '.join(parts)})")
-    return 0
+        passed += f", >= {args.gate:.2f}x throughput"
+    return _finish(
+        args, "serve", doc,
+        lambda d, b: sbench.check_serve_gate(
+            d, b, min_speedup=args.gate,
+            speedup_tolerance=args.speedup_tolerance,
+        ),
+        baseline, passed,
+    )
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from .runtime.bench import load_json, write_json
     from .tuning import bench as tbench
 
     cfg = tbench.TuneBenchConfig(
@@ -464,6 +450,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         family=args.family,
     )
+    baseline = _baseline(args)
     try:
         doc = tbench.run_tune_bench(cfg, wisdom=args.wisdom)
     except ValueError as exc:
@@ -472,29 +459,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     print(tbench.format_tune_bench(doc))
     if args.wisdom:
         print(f"wisdom: {args.wisdom}")
-    if args.out:
-        write_json(doc, args.out)
-        print(f"wrote {args.out}")
-    baseline = None
-    if args.baseline:
-        if args.update_baseline:
-            write_json(doc, args.baseline)
-            print(f"wrote baseline {args.baseline}")
-            return 0
-        try:
-            baseline = load_json(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline not found: {args.baseline}", file=sys.stderr)
-            return 2
-    violations = tbench.check_tuning_gate(doc, baseline=baseline, gate=args.gate)
-    if violations:
-        print(f"\ntune gate: {len(violations)} VIOLATION(S)")
-        for v in violations:
-            print(f"  {v}")
-        return 1
-    against = f", baseline {args.baseline}" if baseline is not None else ""
-    print(f"\ntune gate: PASS (deterministic + never-regress{against})")
-    return 0
+    return _finish(
+        args, "tune", doc,
+        lambda d, b: tbench.check_tuning_gate(d, b, gate=args.gate),
+        baseline, "deterministic, never-regress",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     pbn.add_argument("--algorithms", default=None,
                      help="comma-separated subset (default: all six)")
     pbn.add_argument("--repeats", type=int, default=None,
-                     help="timed repeats per measurement (best-of)")
+                     help="paired rounds per measurement; times and ratios "
+                          "are medians over them (default: the profile's)")
     pbn.add_argument("--m", type=int, default=None,
                      help="Winograd output tile size (default 4)")
     pbn.add_argument("--seed", type=int, default=2021, help="tensor generator seed")
@@ -580,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     pbn.add_argument("--gate", type=float, default=0.25,
                      help="allowed fractional regression vs baseline (default 0.25)")
     pbn.add_argument("--update-baseline", action="store_true",
-                     help="record this run as the new baseline (with --baseline)")
+                     help="write this run's document to --baseline instead of "
+                          "comparing")
     pbn.add_argument("--no-reference", action="store_true",
                      help="skip the (slow) loop-reference timings")
     pbn.add_argument("--no-models", action="store_true",
@@ -620,12 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "the untraced run (default 25)")
     ppr.add_argument("--gate", type=float, default=0.05,
                      help="allowed enabled-tracer overhead fraction (default 0.05)")
-    ppr.add_argument("--stage-baseline", default=None,
-                     help="stage-share baseline JSON to gate against "
+    ppr.add_argument("--baseline", default=None,
+                     help="profile JSON to gate stage shares against "
                           "(e.g. benchmarks/BENCH_stages.json)")
-    ppr.add_argument("--update-stage-baseline", action="store_true",
-                     help="record this run's stage shares as the new baseline "
-                          "(with --stage-baseline)")
+    ppr.add_argument("--update-baseline", action="store_true",
+                     help="write this run's document to --baseline instead of "
+                          "comparing")
     ppr.add_argument("--stage-tolerance", type=float, default=0.10,
                      help="allowed absolute growth of any stage's share of "
                           "stage time, as a fraction (default 0.10 = 10pp)")
@@ -656,15 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable in-worker tuning + the cross-process "
                           "selection-convergence gate in the --procs sweep")
     psv.add_argument("--baseline", default=None,
-                     help="committed proc-bench JSON to ratio-gate the "
-                          "measured speedup against (--procs only)")
+                     help="serve-bench JSON of the same sweep to ratio-gate "
+                          "the measured speedup against")
     psv.add_argument("--speedup-tolerance", type=float, default=0.5,
                      help="--baseline ratio floor: measured speedup may not "
                           "fall below this fraction of the baseline's "
                           "(default 0.5)")
     psv.add_argument("--update-baseline", action="store_true",
-                     help="with --procs: also write the document to "
-                          "benchmarks/BENCH_serve_procs.json")
+                     help="write this run's document to --baseline instead of "
+                          "comparing")
     psv.add_argument("--requests", type=int, default=8,
                      help="requests per client thread (default 8)")
     psv.add_argument("--request-batch", type=int, default=2,
@@ -686,10 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="required throughput speedup at max threads vs 1 "
                           "(default 1.5)")
     psv.add_argument("--out", default=None,
-                     help="write the serve-bench JSON document here "
-                          "(default: benchmarks/BENCH_serve_threads.json)")
-    psv.add_argument("--no-out", action="store_true",
-                     help="do not persist the JSON document")
+                     help="write the serve-bench JSON document here")
     psv.add_argument("--wisdom", default=None,
                      help="wisdom file (repro tune) applying tuned algorithm "
                           "choices to the served session")
@@ -707,8 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
     ptn.add_argument("--hw", type=int, default=8,
                      help="input spatial size (default 8)")
     ptn.add_argument("--batch", type=int, default=2, help="batch size (default 2)")
-    ptn.add_argument("--repeats", type=int, default=2,
-                     help="timed repeats per candidate (best-of, default 2)")
+    ptn.add_argument("--repeats", type=int, default=15,
+                     help="paired rounds per geometry; each candidate's time "
+                          "is its median over them (default 15)")
     ptn.add_argument("--seed", type=int, default=2021,
                      help="measurement tensor seed (default 2021)")
     ptn.add_argument("--family", default="quantized",
@@ -728,14 +697,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="allowed fractional geomean regression vs baseline "
                           "(default 0.25)")
     ptn.add_argument("--update-baseline", action="store_true",
-                     help="record this run as the new baseline (with --baseline)")
+                     help="write this run's document to --baseline instead of "
+                          "comparing")
     ptn.set_defaults(fn=_cmd_tune)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Usage as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

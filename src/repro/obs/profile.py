@@ -17,22 +17,24 @@ Two built-in self-checks keep the numbers honest:
 * **Overhead** -- :func:`measure_overhead` times three modes (no
   tracer / tracer disabled / tracer enabled) on bitwise-identical
   sessions in alternating-order rounds and takes the median of each
-  mode's per-round ratio to the untraced run; :func:`check_overhead_gate`
-  fails if enabled instrumentation costs more than 5% (CI runs this in
-  the bench smoke job).
+  mode's per-round ratio to the untraced run
+  (:func:`repro.perf.measured.measure`); :func:`check_overhead_gate`
+  fails if enabled or disabled instrumentation costs more than 5% (CI
+  runs this in the bench smoke job).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..perf.measured import measure
+from ..runtime.bench import envelope, incompatible
 from .tracer import STAGES, StageTracer
 
 __all__ = [
-    "DEFAULT_STAGE_BASELINE_PATH",
     "ProfileConfig",
     "run_profile",
     "format_profile",
@@ -40,14 +42,9 @@ __all__ = [
     "check_overhead_gate",
     "format_overhead",
     "stage_shares",
-    "stage_baseline_doc",
     "check_stage_gate",
     "format_stage_gate",
 ]
-
-#: Default persistence target for the per-stage share baseline the CI
-#: bench-smoke job gates against.
-DEFAULT_STAGE_BASELINE_PATH = "benchmarks/BENCH_stages.json"
 
 #: Matches the bench default; profiles must be reproducible.
 SEED = 2021
@@ -72,8 +69,7 @@ class ProfileConfig:
 
 def _build_session(config: ProfileConfig, tracer: Optional[StageTracer], model=None):
     """A compiled session (optionally traced) + its input batch."""
-    from ..nn.quantize import quantize_model
-    from ..runtime.bench import ModelCase, build_case_model
+    from ..runtime.bench import ModelCase, prepare_case_model
     from ..runtime.session import InferenceSession
 
     rng = np.random.default_rng(config.seed)
@@ -87,11 +83,7 @@ def _build_session(config: ProfileConfig, tracer: Optional[StageTracer], model=N
             width=config.width,
             m=config.m,
         )
-        model = build_case_model(case)
-        if config.algorithm != "fp32":
-            quantize_model(
-                model, config.algorithm, m=config.m, calibration_batches=[x]
-            )
+        model = prepare_case_model(case, x)
     session = InferenceSession(model, x.shape, tracer=tracer)
     return session, x, model
 
@@ -116,8 +108,7 @@ def run_profile(config: ProfileConfig) -> Dict[str, Any]:
     step_total = sum(timings.values())
     gap = abs(stage_total - step_total) / step_total if step_total else 0.0
     return {
-        "schema": 1,
-        "config": asdict(config),
+        **envelope(asdict(config)),
         "breakdown": breakdown,
         "call_counts": tracer.call_counts(),
         "layer_timings": timings,
@@ -194,64 +185,46 @@ def measure_overhead(config: ProfileConfig, repeats: int = 25) -> Dict[str, Any]
     change split.  Outputs are checked bitwise identical across modes
     first: instrumentation must never change results.
     """
-    import time
-
-    tracer = StageTracer()
     plain, x, model = _build_session(config, tracer=None)
-    disabled_tracer = StageTracer(enabled=False)
-    disabled, _, _ = _build_session(config, disabled_tracer, model=model)
-    enabled, _, _ = _build_session(config, tracer, model=model)
+    disabled, _, _ = _build_session(config, StageTracer(enabled=False), model=model)
+    enabled, _, _ = _build_session(config, StageTracer(), model=model)
     sessions = {"none": plain, "disabled": disabled, "enabled": enabled}
-    outs = {mode: sess.run(x) for mode, sess in sessions.items()}  # warm
-    identical = bool(
-        np.array_equal(outs["none"], outs["disabled"])
-        and np.array_equal(outs["none"], outs["enabled"])
+    timed = measure(
+        {mode: (lambda sess=sess: sess.run(x)) for mode, sess in sessions.items()},
+        repeats,
     )
-    order = list(sessions)
-    walls: Dict[str, List[float]] = {mode: [] for mode in sessions}
-    for round_ in range(max(1, repeats)):
-        for mode in order if round_ % 2 == 0 else order[::-1]:
-            t0 = time.perf_counter()
-            sessions[mode].run(x)
-            walls[mode].append(time.perf_counter() - t0)
-    base = np.asarray(walls["none"])
+    outs = timed.outputs
     return {
         "config": asdict(config),
         "repeats": repeats,
-        "wall_s": {mode: float(np.median(w)) for mode, w in walls.items()},
+        "wall_s": {mode: timed.median(mode) for mode in sessions},
         "overhead": {
-            mode: float(np.median(np.asarray(walls[mode]) / base)) - 1.0
-            for mode in ("disabled", "enabled")
+            mode: timed.ratio(mode, "none") - 1.0 for mode in ("disabled", "enabled")
         },
-        "outputs_identical": identical,
+        "outputs_identical": bool(
+            np.array_equal(outs["none"], outs["disabled"])
+            and np.array_equal(outs["none"], outs["enabled"])
+        ),
     }
 
 
-def check_overhead_gate(
-    doc: Dict[str, Any], limit: float = 0.05, disabled_limit: Optional[float] = None
-) -> List[str]:
+def check_overhead_gate(doc: Dict[str, Any], limit: float = 0.05) -> List[str]:
     """Violations list (empty = PASS) for one overhead measurement.
 
-    ``limit`` bounds the *enabled* tracer's cost (the ISSUE budget is
-    5%); ``disabled_limit`` defaults to the same bound -- disabled
-    instrumentation is one attribute check per call, so a breach there
-    means a real hot-path regression, not noise.
+    ``limit`` bounds both the enabled and the disabled tracer's cost
+    (the budget is 5%): disabled instrumentation is one attribute check
+    per call, so a breach there means a real hot-path regression, not
+    noise.
     """
-    if disabled_limit is None:
-        disabled_limit = limit
     violations: List[str] = []
     if not doc["outputs_identical"]:
         violations.append("instrumented outputs are not bit-identical to baseline")
-    checks: Tuple[Tuple[str, float], ...] = (
-        ("enabled", limit),
-        ("disabled", disabled_limit),
-    )
-    for mode, bound in checks:
+    for mode in ("enabled", "disabled"):
         overhead = doc["overhead"][mode]
-        if overhead > bound:
+        if overhead > limit:
             violations.append(
                 f"{mode} tracer overhead {overhead * 100:.2f}% exceeds "
-                f"{bound * 100:.1f}% budget"
+                f"{limit * 100:.1f}% budget"
             )
     return violations
 
@@ -292,17 +265,6 @@ def stage_shares(doc: Dict[str, Any]) -> Dict[str, float]:
     return {stage: seconds / total for stage, seconds in totals.items()}
 
 
-def stage_baseline_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """The checked-in stage baseline for one profile run
-    (``benchmarks/BENCH_stages.json``)."""
-    return {
-        "schema": 1,
-        "config": doc["config"],
-        "stage_shares": stage_shares(doc),
-        "stage_total_s": doc["stage_total_s"],
-    }
-
-
 #: ``config`` keys that must match for a stage baseline to gate a run:
 #: the workload's shape.  Seed and runs affect noise, not the breakdown
 #: shape, so they are not compared.
@@ -310,36 +272,31 @@ _STAGE_COMPAT_KEYS = ("model", "algorithm", "batch", "hw", "width", "m")
 
 
 def check_stage_gate(
-    current: Dict[str, Any], baseline: Dict[str, Any], tolerance: float = 0.10
+    current: Dict[str, Any],
+    baseline: Optional[Dict[str, Any]] = None,
+    tolerance: float = 0.10,
 ) -> List[str]:
     """Per-stage share regression gate: profile run vs checked-in baseline.
 
-    A stage fails when its share of total stage time *grows* more than
-    ``tolerance`` (absolute percentage points, as a fraction) above the
-    baseline share -- e.g. quantize going from 12% to 25% of the run
-    with the default 0.10 tolerance.  Shrinking shares never fail (the
-    other stages' growth is what gets flagged).  A stage absent from the
-    baseline fails if its share alone exceeds ``tolerance`` -- new
-    overhead must be re-baselined deliberately.  Returns human-readable
-    violations; empty means PASS.
+    Both sides are profile documents, and each one's shares derive from
+    its ``stage_totals``.  A stage fails when its share of total stage
+    time *grows* more than ``tolerance`` (absolute percentage points, as
+    a fraction) above the baseline share -- e.g. quantize going from 12%
+    to 25% of the run with the default 0.10 tolerance.  Shrinking shares
+    never fail (the other stages' growth is what gets flagged).  A stage
+    absent from the baseline fails if its share alone exceeds
+    ``tolerance`` -- new overhead must be re-baselined deliberately.
+    Without a baseline there is nothing to compare.  Returns
+    human-readable violations; empty means PASS.
     """
-    cur_cfg = current.get("config", {})
-    base_cfg = baseline.get("config", {})
-    mismatched = [
-        k for k in _STAGE_COMPAT_KEYS if cur_cfg.get(k) != base_cfg.get(k)
-    ]
-    if mismatched:
-        return [
-            "stage baseline incompatible with this run (config fields differ: "
-            + ", ".join(
-                f"{k}: {base_cfg.get(k)!r} -> {cur_cfg.get(k)!r}" for k in mismatched
-            )
-            + "); regenerate it with --update-stage-baseline"
-        ]
+    if baseline is None:
+        return []
+    refused = incompatible(current, baseline, _STAGE_COMPAT_KEYS)
+    if refused:
+        return refused
     violations: List[str] = []
-    cur_shares = stage_shares(current)
-    base_shares: Dict[str, float] = baseline["stage_shares"]
-    for stage, share in sorted(cur_shares.items()):
+    base_shares = stage_shares(baseline)
+    for stage, share in sorted(stage_shares(current).items()):
         base = base_shares.get(stage)
         if base is None:
             if share > tolerance:
@@ -362,7 +319,7 @@ def format_stage_gate(
 ) -> str:
     """Side-by-side stage shares, current vs baseline."""
     cur_shares = stage_shares(current)
-    base_shares: Dict[str, float] = baseline.get("stage_shares", {})
+    base_shares = stage_shares(baseline)
     stages = [s for s in STAGES if s in cur_shares or s in base_shares]
     stages += sorted((set(cur_shares) | set(base_shares)) - set(stages))
     lines = [f"{'stage':18s} {'baseline':>9s} {'current':>9s} {'drift':>8s}"]

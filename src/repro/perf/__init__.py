@@ -9,7 +9,7 @@ because the substrate is NumPy, not hand-tuned AVX-512 VNNI assembly
 from .cache_sim import CacheStats, SetAssociativeCache, gemm_access_trace, simulate_gemm_cache
 from .breakdown import StageBreakdown, breakdown, figure10_breakdowns
 from .machine import CASCADE_LAKE_8C, MachineModel, StageCost
-from .measured import Measurement, compare, measure
+from .measured import Measurement, measure
 from .report import format_plan, layer_report
 from .plans import (
     ALL_PLANS,
@@ -35,7 +35,6 @@ __all__ = [
     "MachineModel",
     "StageCost",
     "Measurement",
-    "compare",
     "measure",
     "format_plan",
     "layer_report",

@@ -1,92 +1,76 @@
-"""Wall-clock measurement harness (the paper's timing methodology).
+"""Paired-rounds wall-clock timer: the one way this repository times code.
 
-Section 5: "To reduce the interference of initialization, we warm up
-the experiments and run tests 100 times, and report the average running
-time."  This module reproduces that protocol for timing *this
-repository's* NumPy kernels -- useful for regression tracking and for
-the kernel benchmarks; NOT comparable to the paper's absolute numbers
-(the substrate is NumPy, see DESIGN.md).
+The paper (Section 5) warms up, runs each kernel 100 times and reports
+the average.  That protocol assumes a quiet machine.  On a shared host
+whose speed moves in phases, back-to-back runs of one kernel and then
+another compare two phases as much as two kernels, and a mean or a
+best-of keeps whichever phase the draw landed in.  :func:`measure`
+therefore interleaves: it warms each callable once, then runs
+``rounds`` rounds in which every callable runs once -- forward order
+on even rounds, reversed on odd ones, so no callable always follows the
+same neighbour.  It reports each callable's median wall time, and each
+ratio as the median of its per-round ratios: a phase change moves both
+sides of a round's ratio together, and the median drops the rounds a
+phase change split.
+
+The numbers describe this repository's NumPy kernels on the host that
+ran them, never the paper's VNNI kernels (see DESIGN.md).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from time import perf_counter
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-__all__ = ["Measurement", "measure", "compare"]
+__all__ = ["Measurement", "measure"]
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """Timing statistics of one measured callable."""
+    """Per-round wall seconds of every measured callable."""
 
-    name: str
-    mean_s: float
-    std_s: float
-    min_s: float
-    runs: int
+    #: name -> one wall time per round, in round order.
+    walls: Dict[str, List[float]]
+    #: name -> what the callable returned on its warm-up call.
+    outputs: Dict[str, object]
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"{self.name}: mean {self.mean_s * 1e3:.3f} ms "
-                f"(+/- {self.std_s * 1e3:.3f}), min {self.min_s * 1e3:.3f}, "
-                f"n={self.runs}")
+    def median(self, name: str) -> float:
+        """Median wall seconds of ``name`` over the rounds."""
+        return float(np.median(self.walls[name]))
+
+    def ratio(self, num: str, den: str) -> float:
+        """Median over rounds of ``t_num / t_den`` within one round."""
+        return float(np.median(np.divide(self.walls[num], self.walls[den])))
 
 
 def measure(
-    fn: Callable[[], object],
-    name: str = "kernel",
-    warmup: int = 2,
-    runs: int = 100,
-    max_seconds: float = 10.0,
-) -> Measurement:
-    """Warm up, then time ``fn`` up to ``runs`` times (paper protocol).
+    fns: Mapping[str, Callable[[], object]],
+    rounds: int,
+    abort: Optional[Callable[[], bool]] = None,
+) -> Optional[Measurement]:
+    """Warm each callable once, then time ``rounds`` alternating rounds.
 
-    ``max_seconds`` caps total measurement time so slow configurations
-    degrade to fewer repetitions rather than hanging the suite; at least
-    3 timed runs always execute.
+    ``abort`` is polled before every call, warm-up included; when it
+    returns True the measurement stops and None is returned, so nothing
+    half-measured is ever reported.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    for _ in range(warmup):
-        fn()
-    times = []
-    budget_start = time.perf_counter()
-    for i in range(runs):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-        if i >= 2 and time.perf_counter() - budget_start > max_seconds:
-            break
-    arr = np.array(times)
-    return Measurement(
-        name=name,
-        mean_s=float(arr.mean()),
-        std_s=float(arr.std()),
-        min_s=float(arr.min()),
-        runs=arr.size,
-    )
-
-
-def compare(
-    candidates: Dict[str, Callable[[], object]],
-    baseline: str,
-    warmup: int = 2,
-    runs: int = 20,
-    max_seconds: float = 10.0,
-) -> Dict[str, float]:
-    """Measure several callables; return speedups relative to ``baseline``.
-
-    Speedup > 1 means faster than the baseline.
-    """
-    if baseline not in candidates:
-        raise KeyError(f"baseline {baseline!r} not among candidates {sorted(candidates)}")
-    results = {
-        name: measure(fn, name=name, warmup=warmup, runs=runs,
-                      max_seconds=max_seconds)
-        for name, fn in candidates.items()
-    }
-    base = results[baseline].mean_s
-    return {name: base / m.mean_s for name, m in results.items()}
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    names = list(fns)
+    outputs: Dict[str, object] = {}
+    for name in names:
+        if abort is not None and abort():
+            return None
+        outputs[name] = fns[name]()
+    walls: Dict[str, List[float]] = {name: [] for name in names}
+    for round_ in range(rounds):
+        for name in names if round_ % 2 == 0 else names[::-1]:
+            if abort is not None and abort():
+                return None
+            t0 = perf_counter()
+            fns[name]()
+            walls[name].append(perf_counter() - t0)
+    return Measurement(walls, outputs)

@@ -6,17 +6,26 @@ at 1, spatial and channel extents capped per profile -- the full
 batch-64 layers are ASIC-scale work a single interpreter thread cannot
 turn around in benchmark time).  Three families of numbers come out:
 
-* per-layer, per-algorithm wall-clock (best-of-``repeats``),
+* per-layer, per-algorithm wall-clock,
 * speedup of each algorithm vs the vectorized ``fp32_direct`` path on
   the same layer (the paper's baseline normalization, Figure 8), and
 * the vectorized-engine vs loop-reference ratio for the Winograd INT8
   family (``reference_forward`` + :func:`repro.gemm.batched_gemm_reference`)
   -- the number that justifies the runtime's existence.
 
+Every number comes from :func:`repro.perf.measured.measure`: one
+layer's algorithms and loop references run interleaved in paired
+rounds, and a ratio is the median of its per-round ratios.
+
 "Speedup" here is a *relative* claim about two implementations run in
 the same process on the same arrays; absolute wall-clock depends on the
 host and is never gated.  :func:`check_regression` compares only the
 ratio metrics against a checked-in baseline and fails on a >25% drop.
+
+This module is also the one home of what every ``repro`` perf document
+shares: the :func:`envelope`, the baseline compat check
+(:func:`incompatible`), the baseline-relative floor (:func:`below_floor`)
+and JSON persistence.
 """
 
 from __future__ import annotations
@@ -24,13 +33,13 @@ from __future__ import annotations
 import json
 import math
 import platform
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..perf.measured import measure
 from ..workloads import BREAKDOWN_LAYERS, TABLE2_LAYERS, LayerConfig, layer_by_name
 from .cache import PlanCache
 from .engine import ExecutionEngine
@@ -43,18 +52,24 @@ __all__ = [
     "QUICK_PROFILE",
     "PROFILES",
     "REFERENCE_ALGORITHMS",
+    "SCHEMA_VERSION",
     "build_case_model",
+    "prepare_case_model",
     "scale_layer",
     "run_bench",
     "run_model_bench",
     "check_regression",
     "format_bench",
+    "envelope",
+    "incompatible",
+    "below_floor",
     "load_json",
     "write_json",
 ]
 
-#: JSON document version; bump on breaking schema changes.
-SCHEMA_VERSION = 1
+#: Version of every ``repro`` perf document (bench, profile, tune,
+#: serve-bench); bump on breaking schema changes.
+SCHEMA_VERSION = 2
 
 #: Default seed for the synthetic activation / filter tensors.
 SEED = 2021
@@ -98,6 +113,7 @@ class BenchProfile:
     The caps are part of the emitted metadata: a baseline only gates a
     run with identical scaling.  ``model_cases`` adds whole-network
     compiled-vs-eager measurements on the scaled Table 2 model families.
+    ``repeats`` is the number of paired rounds behind every number.
     """
 
     name: str
@@ -105,12 +121,10 @@ class BenchProfile:
     batch_cap: int = 1
     hw_cap: int = 32
     chan_cap: int = 128
-    repeats: int = 3
+    repeats: int = 5
     m: int = 4
     reference: bool = True
-    reference_repeats: int = 2
     model_cases: tuple = ()
-    model_repeats: int = 3
 
 
 #: The scaled Table 2 network mix for the full profile: per-layer 'auto'
@@ -139,9 +153,8 @@ QUICK_PROFILE = BenchProfile(
     "quick",
     tuple(BREAKDOWN_LAYERS),
     hw_cap=16,
-    repeats=2,
+    repeats=15,
     model_cases=_QUICK_MODEL_CASES,
-    model_repeats=2,
 )
 PROFILES: Dict[str, BenchProfile] = {"full": FULL_PROFILE, "quick": QUICK_PROFILE}
 
@@ -155,15 +168,6 @@ def scale_layer(layer: LayerConfig, profile: BenchProfile) -> LayerConfig:
         c=min(layer.c, profile.chan_cap),
         k=min(layer.k, profile.chan_cap),
     )
-
-
-def _best_of(fn, repeats: int) -> float:
-    best = math.inf
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _geomean(values: Iterable[float]) -> Optional[float]:
@@ -193,6 +197,19 @@ def build_case_model(case: ModelCase):
     return builder(width=case.width)
 
 
+def prepare_case_model(case: ModelCase, calibration: np.ndarray):
+    """The case's network, quantized with ``case.algorithm`` on the one
+    ``calibration`` batch (an ``'fp32'`` case stays unquantized)."""
+    from ..nn.quantize import quantize_model
+
+    model = build_case_model(case)
+    if case.algorithm != "fp32":
+        quantize_model(
+            model, case.algorithm, m=case.m, calibration_batches=[calibration]
+        )
+    return model
+
+
 def run_model_bench(
     profile: BenchProfile = FULL_PROFILE,
     seed: int = SEED,
@@ -205,29 +222,26 @@ def run_model_bench(
     against ``InferenceSession.run(x)`` (compiled, plan-cached, fused
     epilogues) -- the *same prepared engine objects* either way, so the
     ratio is pure execution-architecture.  Each entry also records
-    bitwise equality of the two outputs (``exact``) and the session's
-    plan-cache counters.
+    bitwise equality of the two warm-up outputs (``exact``) and the
+    session's plan-cache counters.
 
     ``wisdom`` (path / :class:`~repro.tuning.wisdom.WisdomFile`) applies
     tuned per-geometry algorithm choices at lowering time; selection
     swaps the shared engine objects, so the eager reference swaps with
     it and ``exact`` still gates bit-identity.
     """
-    from ..nn.quantize import quantize_model
     from .session import InferenceSession
 
     rng = np.random.default_rng(seed)
     entries: List[dict] = []
     for case in profile.model_cases:
-        model = build_case_model(case)
         x = rng.standard_normal((case.batch, 3, case.hw, case.hw))
-        if case.algorithm != "fp32":
-            quantize_model(model, case.algorithm, m=case.m, calibration_batches=[x])
+        model = prepare_case_model(case, x)
         session = InferenceSession(model, x.shape, collect_timings=False, wisdom=wisdom)
-        y_compiled = session.run(x)  # warm: builds plans + grows the scratch arena
-        y_eager = model(x)  # warm eager (engines already prepared)
-        eager_s = _best_of(lambda: model(x), profile.model_repeats)
-        compiled_s = _best_of(lambda: session.run(x), profile.model_repeats)
+        timed = measure(
+            {"eager": lambda: model(x), "compiled": lambda: session.run(x)},
+            profile.repeats,
+        )
         entries.append(
             {
                 "name": case.case_name,
@@ -237,10 +251,12 @@ def run_model_bench(
                 "hw": case.hw,
                 "width": case.width,
                 "m": case.m,
-                "eager_s": eager_s,
-                "compiled_s": compiled_s,
-                "compiled_speedup": eager_s / compiled_s,
-                "exact": bool(np.array_equal(y_eager, y_compiled)),
+                "eager_s": timed.median("eager"),
+                "compiled_s": timed.median("compiled"),
+                "compiled_speedup": timed.ratio("eager", "compiled"),
+                "exact": bool(
+                    np.array_equal(timed.outputs["eager"], timed.outputs["compiled"])
+                ),
                 "cache_stats": session.cache_stats(),
             }
         )
@@ -273,34 +289,33 @@ def run_bench(
         layer_cfg = scale_layer(layer_by_name(name), profile)
         x = layer_cfg.input_tensor(rng, dtype=np.float64)
         w = layer_cfg.filter_tensor(rng, dtype=np.float64)
-        walls: Dict[str, float] = {}
-        runtime_layers = {}
+        fns = {}
+        references = []
         for algo in algorithms:
             layer = engine.layer(w, algo, m=profile.m, padding=layer_cfg.padding)
-            layer(x)  # warm call: builds plan state and grows the scratch arena
-            walls[algo] = _best_of(lambda layer=layer: layer(x), profile.repeats)
-            runtime_layers[algo] = layer
-        base = walls.get("fp32_direct")
+            fns[algo] = lambda layer=layer: layer(x)
+            if profile.reference and algo in REFERENCE_ALGORITHMS:
+                references.append(algo)
+                fns[f"{algo}/reference"] = (
+                    lambda ref=layer.reference: ref.reference_forward(x)
+                )
+        timed = measure(fns, profile.repeats)
         algo_entries = {
             algo: {
-                "wall_s": walls[algo],
-                "speedup_vs_fp32_direct": (base / walls[algo]) if base else None,
+                "wall_s": timed.median(algo),
+                "speedup_vs_fp32_direct": (
+                    timed.ratio("fp32_direct", algo) if "fp32_direct" in fns else None
+                ),
             }
             for algo in algorithms
         }
-        ref_entries: Dict[str, dict] = {}
-        if profile.reference:
-            for algo in REFERENCE_ALGORITHMS:
-                if algo not in runtime_layers:
-                    continue
-                ref = runtime_layers[algo].reference
-                wall_ref = _best_of(
-                    lambda ref=ref: ref.reference_forward(x), profile.reference_repeats
-                )
-                ref_entries[algo] = {
-                    "wall_s": wall_ref,
-                    "vectorized_speedup": wall_ref / walls[algo],
-                }
+        ref_entries = {
+            algo: {
+                "wall_s": timed.median(f"{algo}/reference"),
+                "vectorized_speedup": timed.ratio(f"{algo}/reference", algo),
+            }
+            for algo in references
+        }
         layer_entries.append(
             {
                 "name": layer_cfg.name,
@@ -318,12 +333,9 @@ def run_bench(
         else []
     )
     return {
-        "schema": SCHEMA_VERSION,
-        "profile": asdict(profile),
+        **envelope(asdict(profile)),
         "wisdom": wisdom is not None,
         "seed": seed,
-        "numpy": np.__version__,
-        "machine": platform.machine(),
         "layers": layer_entries,
         "models": model_entries,
         "summary": _summarize(layer_entries, algorithms, model_entries),
@@ -366,95 +378,53 @@ def _summarize(
     return summary
 
 
-#: Keys of ``profile`` that must match for a baseline comparison to be valid.
-_COMPAT_KEYS = ("name", "layers", "batch_cap", "hw_cap", "chan_cap", "m", "model_cases")
+# -- what every perf document shares -------------------------------------
+
+def envelope(config: dict) -> dict:
+    """The keys every perf document opens with: its schema, the config
+    that produced it, and the host it ran on."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "config": config,
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
 
 
-def check_regression(current: dict, baseline: dict, gate: float = 0.25) -> List[str]:
-    """Ratio-metric regression gate: current vs checked-in baseline.
+def incompatible(current: dict, baseline: dict, keys: Sequence[str]) -> List[str]:
+    """Why ``baseline`` cannot gate ``current`` (empty when it can).
 
-    Only *relative* metrics are compared (speedup-vs-fp32_direct
-    geomeans, loop-reference ratios) -- never absolute wall-clock, which
-    varies across hosts.  A metric regresses when it drops more than
-    ``gate`` (fraction) below the baseline value.  Returns a list of
-    human-readable violations; empty means PASS.
+    A baseline gates a run only when it has this schema and the same
+    value for every ``config`` key in ``keys`` -- each producer's list
+    of the fields that shape its numbers.
     """
-    violations: List[str] = []
-    cur_prof, base_prof = current.get("profile", {}), baseline.get("profile", {})
-    mismatched = [
-        k
-        for k in _COMPAT_KEYS
-        if _norm(cur_prof.get(k)) != _norm(base_prof.get(k))
-    ]
-    if mismatched:
+    if baseline.get("schema") != SCHEMA_VERSION:
         return [
-            "baseline incompatible with this run (profile fields differ: "
-            + ", ".join(
-                f"{k}: {base_prof.get(k)!r} -> {cur_prof.get(k)!r}" for k in mismatched
-            )
-            + "); regenerate it with --update-baseline"
+            f"baseline schema {baseline.get('schema')!r} is not this run's "
+            f"{SCHEMA_VERSION}; regenerate it with --update-baseline"
         ]
-    floor = 1.0 - gate
-    cur_sum, base_sum = current["summary"], baseline["summary"]
-    for algo, base_val in base_sum.get("speedup_vs_fp32_direct", {}).items():
-        cur_val = cur_sum.get("speedup_vs_fp32_direct", {}).get(algo)
-        if base_val and cur_val is not None and cur_val < base_val * floor:
-            violations.append(
-                f"summary speedup_vs_fp32_direct[{algo}]: "
-                f"{cur_val:.2f}x < {floor:.2f} * baseline {base_val:.2f}x"
-            )
-    for algo, base_entry in base_sum.get("reference_speedup", {}).items():
-        cur_entry = cur_sum.get("reference_speedup", {}).get(algo)
-        if cur_entry and base_entry.get("geomean"):
-            if cur_entry["geomean"] < base_entry["geomean"] * floor:
-                violations.append(
-                    f"summary reference_speedup[{algo}].geomean: "
-                    f"{cur_entry['geomean']:.2f}x < {floor:.2f} * "
-                    f"baseline {base_entry['geomean']:.2f}x"
-                )
-    base_layers = {e["name"]: e for e in baseline.get("layers", [])}
-    for entry in current.get("layers", []):
-        base_entry = base_layers.get(entry["name"])
-        if base_entry is None:
-            continue
-        base_ref = base_entry.get("reference", {}).get("lowino")
-        cur_ref = entry.get("reference", {}).get("lowino")
-        if base_ref and cur_ref:
-            if cur_ref["vectorized_speedup"] < base_ref["vectorized_speedup"] * floor:
-                violations.append(
-                    f"{entry['name']}: lowino vectorized_speedup "
-                    f"{cur_ref['vectorized_speedup']:.2f}x < {floor:.2f} * "
-                    f"baseline {base_ref['vectorized_speedup']:.2f}x"
-                )
-    # Model-level gates: the compiled-vs-eager ratio (host-independent,
-    # both paths timed in the same process) and the bitwise-equality
-    # invariant, which must never break regardless of host.
-    base_model = base_sum.get("model_compiled_vs_eager")
-    cur_model = cur_sum.get("model_compiled_vs_eager")
-    if base_model and cur_model and base_model.get("geomean"):
-        if cur_model["geomean"] < base_model["geomean"] * floor:
-            violations.append(
-                f"summary model_compiled_vs_eager.geomean: "
-                f"{cur_model['geomean']:.2f}x < {floor:.2f} * "
-                f"baseline {base_model['geomean']:.2f}x"
-            )
-    base_cases = {e["name"]: e for e in baseline.get("models", [])}
-    for entry in current.get("models", []):
-        if not entry["exact"]:
-            violations.append(
-                f"model {entry['name']}: compiled output is not bit-identical "
-                f"to the eager model"
-            )
-        base_entry = base_cases.get(entry["name"])
-        if base_entry is None:
-            continue
-        if entry["compiled_speedup"] < base_entry["compiled_speedup"] * floor:
-            violations.append(
-                f"model {entry['name']}: compiled_speedup "
-                f"{entry['compiled_speedup']:.2f}x < {floor:.2f} * "
-                f"baseline {base_entry['compiled_speedup']:.2f}x"
-            )
-    return violations
+    cur, base = current["config"], baseline.get("config", {})
+    differ = [k for k in keys if _norm(cur.get(k)) != _norm(base.get(k))]
+    if not differ:
+        return []
+    return [
+        "baseline incompatible with this run (config fields differ: "
+        + ", ".join(f"{k}: {base.get(k)!r} -> {cur.get(k)!r}" for k in differ)
+        + "); regenerate it with --update-baseline"
+    ]
+
+
+def below_floor(
+    what: str, current: Optional[float], base: Optional[float], fraction: float
+) -> List[str]:
+    """The baseline-relative floor: a violation when ``current`` is below
+    ``fraction`` of its ``base`` value (empty when either is missing)."""
+    if current is None or not base or current >= base * fraction:
+        return []
+    return [
+        f"{what} regressed: {current:.3f}x < {fraction:.2f} * "
+        f"baseline {base:.3f}x"
+    ]
 
 
 def _norm(value):
@@ -462,15 +432,81 @@ def _norm(value):
     return list(value) if isinstance(value, (list, tuple)) else value
 
 
+#: ``config`` keys that must match for a baseline comparison to be valid.
+_COMPAT_KEYS = ("name", "layers", "batch_cap", "hw_cap", "chan_cap", "m", "model_cases")
+
+
+def check_regression(
+    current: dict, baseline: Optional[dict] = None, gate: float = 0.25
+) -> List[str]:
+    """Bench gate; returns human-readable violations, empty means PASS.
+
+    Every model case's compiled output must be bit-identical to the
+    eager model, whatever the host.  Against a ``baseline``, only
+    *relative* metrics are compared (speedup-vs-fp32_direct geomeans,
+    loop-reference ratios, compiled-vs-eager ratios) -- never absolute
+    wall-clock, which varies across hosts.  A metric regresses when it
+    drops more than ``gate`` (fraction) below the baseline value.
+    """
+    violations = [
+        f"model {entry['name']}: compiled output is not bit-identical "
+        f"to the eager model"
+        for entry in current.get("models", [])
+        if not entry["exact"]
+    ]
+    if baseline is None:
+        return violations
+    refused = incompatible(current, baseline, _COMPAT_KEYS)
+    if refused:
+        return violations + refused
+    floor = 1.0 - gate
+    cur_sum, base_sum = current["summary"], baseline["summary"]
+    for algo, base_val in base_sum.get("speedup_vs_fp32_direct", {}).items():
+        violations += below_floor(
+            f"summary speedup_vs_fp32_direct[{algo}]",
+            cur_sum.get("speedup_vs_fp32_direct", {}).get(algo), base_val, floor,
+        )
+    for algo, base_entry in base_sum.get("reference_speedup", {}).items():
+        cur_entry = cur_sum.get("reference_speedup", {}).get(algo) or {}
+        violations += below_floor(
+            f"summary reference_speedup[{algo}].geomean",
+            cur_entry.get("geomean"), base_entry.get("geomean"), floor,
+        )
+    base_layers = {e["name"]: e for e in baseline.get("layers", [])}
+    for entry in current.get("layers", []):
+        base_ref = base_layers.get(entry["name"], {}).get("reference", {}).get("lowino")
+        cur_ref = entry.get("reference", {}).get("lowino")
+        if base_ref and cur_ref:
+            violations += below_floor(
+                f"{entry['name']}: lowino vectorized_speedup",
+                cur_ref["vectorized_speedup"], base_ref["vectorized_speedup"], floor,
+            )
+    violations += below_floor(
+        "summary model_compiled_vs_eager.geomean",
+        (cur_sum.get("model_compiled_vs_eager") or {}).get("geomean"),
+        (base_sum.get("model_compiled_vs_eager") or {}).get("geomean"),
+        floor,
+    )
+    base_cases = {e["name"]: e for e in baseline.get("models", [])}
+    for entry in current.get("models", []):
+        base_entry = base_cases.get(entry["name"])
+        if base_entry is not None:
+            violations += below_floor(
+                f"model {entry['name']}: compiled_speedup",
+                entry["compiled_speedup"], base_entry["compiled_speedup"], floor,
+            )
+    return violations
+
+
 def format_bench(doc: dict) -> str:
     """Human-readable table for one benchmark document."""
     algorithms = list(doc["summary"]["speedup_vs_fp32_direct"])
     lines = []
-    prof = doc["profile"]
+    prof = doc["config"]
     lines.append(
         f"Runtime benchmark -- profile={prof['name']} m={prof['m']} "
         f"caps(batch={prof['batch_cap']}, hw={prof['hw_cap']}, chan={prof['chan_cap']}) "
-        f"repeats={prof['repeats']}"
+        f"median of {prof['repeats']} paired rounds"
     )
     header = f"{'layer':14s} {'b':>2s} {'c':>4s} {'k':>4s} {'hw':>3s}"
     for algo in algorithms:

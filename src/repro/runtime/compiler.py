@@ -136,6 +136,30 @@ def apply_selection(graph: Graph, selector: Any, tune: bool = False) -> Dict[str
 
     Returns ``{conv path: selected label}`` for the applied choices.
     """
+    applied: Dict[str, str] = {}
+    for node in graph.conv_nodes():
+        outcome = reselect_conv(node.layer, graph.in_shape(node), selector, measure=tune)
+        if outcome is not None:
+            applied[node.path] = outcome[0]
+    return applied
+
+
+def reselect_conv(
+    conv: Conv2d, in_shape: Tuple[int, ...], selector: Any, measure: bool
+) -> Optional[Tuple[str, bool]]:
+    """The one reselection step: adopt ``selector``'s choice for one conv.
+
+    Asks the selector for the conv's geometry within the conv's own
+    family, measuring un-tuned geometries only when ``measure`` is set.
+    A choice that differs from the running engine rebuilds
+    ``conv.engine`` in place, unless the swap would lose the conv's
+    calibrated quantization (e.g. LoWino histograms cannot seed a
+    spatial threshold), in which case the installed engine stays.
+
+    Returns ``(label, swapped)`` for an applied choice, or None when
+    nothing applies (a static answer, an aborted measurement, or an
+    unsafe swap).
+    """
     from ..tuning.selector import (
         ConvGeometry,
         build_engine_for,
@@ -143,27 +167,20 @@ def apply_selection(graph: Graph, selector: Any, tune: bool = False) -> Dict[str
         swap_preserves_calibration,
     )
 
-    applied: Dict[str, str] = {}
-    for node in graph.conv_nodes():
-        conv = node.layer
-        family = conv_family(conv)
-        geom = ConvGeometry.of_conv(conv, graph.in_shape(node))
-        result = selector.select(geom, measure=tune, family=family)
-        if result is None or result.source == "static":
-            continue
-        if conv.engine is None:
-            current = ("fp32_direct", 0)
-        else:
-            current = (algorithm_of_engine(conv.engine), getattr(conv.engine, "m", 0))
-        if (result.algorithm, result.m) != current:
-            if not swap_preserves_calibration(conv, result.algorithm, result.m):
-                # The wisdom choice would lose this conv's calibrated
-                # quantization (e.g. LoWino histograms cannot seed a
-                # spatial threshold); keep the installed engine.
-                continue
-            conv.engine = build_engine_for(conv, result.algorithm, result.m)
-        applied[node.path] = result.label
-    return applied
+    geom = ConvGeometry.of_conv(conv, in_shape)
+    result = selector.select(geom, measure=measure, family=conv_family(conv))
+    if result is None or result.source == "static":
+        return None
+    if conv.engine is None:
+        current = ("fp32_direct", 0)
+    else:
+        current = (algorithm_of_engine(conv.engine), getattr(conv.engine, "m", 0))
+    if (result.algorithm, result.m) == current:
+        return result.label, False
+    if not swap_preserves_calibration(conv, result.algorithm, result.m):
+        return None
+    conv.engine = build_engine_for(conv, result.algorithm, result.m)
+    return result.label, True
 
 
 def relower_conv(step: "Step", cache: PlanCache) -> None:

@@ -49,7 +49,7 @@ from ..nn.layers import Layer
 from ..obs.metrics import MetricsRegistry, Sample
 from ..obs.tracer import StageTracer
 from .cache import PlanCache
-from .compiler import CompiledProgram, compile_model, relower_conv
+from .compiler import CompiledProgram, compile_model, relower_conv, reselect_conv
 from .engine import ExecutionEngine
 
 __all__ = ["InferenceSession"]
@@ -167,42 +167,23 @@ class InferenceSession:
         """
         if self.selector is None:
             return []
-        from ..runtime.compiler import algorithm_of_engine
-        from ..tuning.selector import (
-            ConvGeometry,
-            build_engine_for,
-            conv_family,
-            swap_preserves_calibration,
-        )
-
         changed = []
         with self._relower_lock:
             graph = self.program.graph
             for step in self.program.steps:
                 if step.kind != "conv":
                     continue
-                conv = step.node.layer
-                family = conv_family(conv)
-                geom = ConvGeometry.of_conv(conv, graph.in_shape(step.node))
-                result = self.selector.select(geom, measure=False, family=family)
-                if result is None or result.source != "wisdom":
+                outcome = reselect_conv(
+                    step.node.layer, graph.in_shape(step.node), self.selector,
+                    measure=False,
+                )
+                if outcome is None:
                     continue
-                if conv.engine is None:
-                    current = ("fp32_direct", 0)
-                else:
-                    current = (
-                        algorithm_of_engine(conv.engine),
-                        getattr(conv.engine, "m", 0),
-                    )
-                if (result.algorithm, result.m) == current:
-                    self.program.selection[step.path] = result.label
-                    continue
-                if not swap_preserves_calibration(conv, result.algorithm, result.m):
-                    continue
-                conv.engine = build_engine_for(conv, result.algorithm, result.m)
-                relower_conv(step, self.cache)
-                self.program.selection[step.path] = result.label
-                changed.append(step.path)
+                label, swapped = outcome
+                if swapped:
+                    relower_conv(step, self.cache)
+                    changed.append(step.path)
+                self.program.selection[step.path] = label
             if changed:
                 self.program.run(np.zeros(self.input_shape))
                 self.selection_epoch += 1

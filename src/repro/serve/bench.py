@@ -17,13 +17,16 @@ any batch composition -- and the FP32 classifier head computes row-wise
 (each sample's logits never depend on which other samples were
 coalesced into the micro-batch).
 
-Like ``repro bench``, absolute wall-clock is reported but never gated;
-the throughput ratio and the bit-identity flag are host-independent.
+The worker-process sweep (``--procs``, :func:`run_proc_bench`) writes
+the same document shape -- ``sweep`` names the swept config field and
+each result's ``n`` is one of its values -- and :func:`check_serve_gate`
+gates both.  Like ``repro bench``, absolute wall-clock is reported but
+never gated; the throughput ratio and the bit-identity flag are
+host-independent.
 """
 
 from __future__ import annotations
 
-import platform
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -32,34 +35,30 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.bench import ModelCase, build_case_model, load_json, write_json
+from ..runtime.bench import (
+    SCHEMA_VERSION,
+    ModelCase,
+    below_floor,
+    envelope,
+    incompatible,
+    load_json,
+    prepare_case_model,
+    write_json,
+)
 from ..runtime.session import InferenceSession
 from .server import Server
 
 __all__ = [
-    "DEFAULT_BENCH_PATH",
-    "DEFAULT_PROC_BENCH_PATH",
     "ProcBenchConfig",
     "ServeBenchConfig",
+    "SCHEMA_VERSION",
     "run_serve_bench",
     "run_proc_bench",
     "check_serve_gate",
-    "check_proc_gate",
     "format_serve_bench",
-    "format_proc_bench",
     "load_json",
     "write_json",
 ]
-
-#: Default persistence target: the closed-loop serve perf trajectory
-#: lives next to the runtime baselines in ``benchmarks/``.
-DEFAULT_BENCH_PATH = "benchmarks/BENCH_serve_threads.json"
-
-#: Default persistence target for the multi-process sweep.
-DEFAULT_PROC_BENCH_PATH = "benchmarks/BENCH_serve_procs.json"
-
-#: JSON document version; bump on breaking schema changes.
-SCHEMA_VERSION = 1
 
 SEED = 2021
 
@@ -94,32 +93,25 @@ class ServeBenchConfig:
     wisdom: Optional[str] = None
 
 
-def _build_session(cfg: ServeBenchConfig):
-    """Build + quantize + compile the benchmark model once (offline)."""
-    from ..nn.quantize import quantize_model
-
-    case = ModelCase(cfg.model, cfg.algorithm, hw=cfg.hw, width=cfg.width, m=cfg.m)
-    model = build_case_model(case)
+def _build_model(cfg):
+    """Build + quantize the benchmark model on a seeded calibration
+    batch (both sweeps; the proc workers compile their own sessions
+    from a pickle of it)."""
     rng = np.random.default_rng(cfg.seed)
     calib = rng.standard_normal((max(2, cfg.request_batch), 3, cfg.hw, cfg.hw))
-    if cfg.algorithm != "fp32":
-        quantize_model(model, cfg.algorithm, m=cfg.m, calibration_batches=[calib])
-    input_shape = (cfg.request_batch, 3, cfg.hw, cfg.hw)
-    session = InferenceSession(
-        model, input_shape, collect_timings=False, wisdom=cfg.wisdom
-    )
-    return model, session
+    case = ModelCase(cfg.model, cfg.algorithm, hw=cfg.hw, width=cfg.width, m=cfg.m)
+    return prepare_case_model(case, calib)
 
 
-def _client_inputs(cfg: ServeBenchConfig, threads: int) -> List[List[np.ndarray]]:
-    """Deterministic per-(thread, request) activation tensors."""
+def _client_inputs(cfg, clients: int) -> List[List[np.ndarray]]:
+    """Deterministic per-(client, request) activation tensors."""
     rng = np.random.default_rng(cfg.seed + 1)
     return [
         [
             rng.standard_normal((cfg.request_batch, 3, cfg.hw, cfg.hw))
             for _ in range(cfg.requests_per_thread)
         ]
-        for _ in range(threads)
+        for _ in range(clients)
     ]
 
 
@@ -158,11 +150,68 @@ def _measure(
     return wall, outputs  # type: ignore[return-value]
 
 
+def _sweep_point(
+    server: Server, n: int, inputs: List[List[np.ndarray]],
+    expected: List[List[np.ndarray]],
+) -> dict:
+    """Warm ``server``, drive it with every client, describe the run."""
+    # Warm the per-request geometry (coalesced sizes build their own
+    # cheap tile grids on first contact during the measurement).
+    server.infer("bench", inputs[0][0], timeout=60.0)
+    wall, outputs = _measure(server, "bench", inputs)
+    stats = server.stats()["bench"]
+    pairs = [
+        (got, want)
+        for got_reqs, want_reqs in zip(outputs, expected)
+        for got, want in zip(got_reqs, want_reqs)
+    ]
+    images = sum(x.shape[0] for reqs in inputs for x in reqs)
+    return {
+        "n": n,
+        "requests": len(pairs),
+        "images": images,
+        "wall_s": wall,
+        "throughput_ips": images / wall,
+        "exact": all(np.array_equal(got, want) for got, want in pairs),
+        "mean_batch_images": stats["mean_batch_images"],
+        "max_batch_images": stats["max_batch_images"],
+        "batches": stats["batches"],
+        "rejected": stats["rejected"],
+        "latency": stats["latency"],
+    }
+
+
+def _document(cfg, sweep: str, entries: List[dict]) -> dict:
+    """The one serve-bench document shape, for either sweep.
+
+    ``sweep`` names the config field swept (``"threads"`` or
+    ``"procs"``) and each entry's ``n`` is one of its values; the
+    summary's ``speedup`` is the throughput at the largest ``n`` over
+    the throughput at ``n = 1``.
+    """
+    by_n = {e["n"]: e for e in entries}
+    top = max(by_n)
+    summary: Dict[str, object] = {
+        "exact": all(e["exact"] for e in entries),
+        "selection_converged": all(
+            e.get("selection_converged", True) for e in entries
+        ),
+    }
+    if 1 in by_n and top > 1:
+        summary["speedup"] = by_n[top]["throughput_ips"] / by_n[1]["throughput_ips"]
+        summary["speedup_at"] = top
+    return {**envelope(asdict(cfg)), "sweep": sweep, "results": entries,
+            "summary": summary}
+
+
 def run_serve_bench(cfg: ServeBenchConfig = ServeBenchConfig()) -> dict:
-    """Run the sweep and return the serve-bench JSON document."""
-    model, session = _build_session(cfg)
-    max_threads = max(cfg.threads)
-    inputs = _client_inputs(cfg, max_threads)
+    """Run the client-thread sweep and return the serve-bench document."""
+    model = _build_model(cfg)
+    session = InferenceSession(
+        model, (cfg.request_batch, 3, cfg.hw, cfg.hw), collect_timings=False,
+        wisdom=cfg.wisdom,
+    )
+    inputs = _client_inputs(cfg, max(cfg.threads))
     # Serial eager reference, computed once per distinct request.
     expected = [[model(x) for x in reqs] for reqs in inputs]
 
@@ -175,105 +224,113 @@ def run_serve_bench(cfg: ServeBenchConfig = ServeBenchConfig()) -> dict:
             workers_per_model=cfg.workers,
         )
         server.add_model("bench", session=session)
-        # Warm the per-request geometry (coalesced sizes build their own
-        # cheap tile grids on first contact during the measurement).
-        server.infer("bench", inputs[0][0], timeout=60.0)
-        wall, outputs = _measure(server, "bench", inputs[:threads])
-        stats = server.stats()["bench"]
-        server.close()
-        exact = all(
-            np.array_equal(outputs[tid][i], expected[tid][i])
-            for tid in range(threads)
-            for i in range(cfg.requests_per_thread)
-        )
-        images = threads * cfg.requests_per_thread * cfg.request_batch
-        entries.append(
-            {
-                "threads": threads,
-                "requests": threads * cfg.requests_per_thread,
-                "images": images,
-                "wall_s": wall,
-                "throughput_ips": images / wall,
-                "exact": exact,
-                "mean_batch_images": stats["mean_batch_images"],
-                "max_batch_images": stats["max_batch_images"],
-                "batches": stats["batches"],
-                "rejected": stats["rejected"],
-                "latency": stats["latency"],
-            }
-        )
-
-    by_threads = {e["threads"]: e for e in entries}
-    summary: Dict[str, object] = {
-        "exact": all(e["exact"] for e in entries),
-    }
-    if 1 in by_threads and max_threads > 1:
-        summary["throughput_speedup"] = (
-            by_threads[max_threads]["throughput_ips"]
-            / by_threads[1]["throughput_ips"]
-        )
-        summary["speedup_threads"] = max_threads
-    return {
-        "schema": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "results": entries,
-        "summary": summary,
-    }
+        try:
+            entries.append(
+                _sweep_point(server, threads, inputs[:threads], expected)
+            )
+        finally:
+            server.close()
+    return _document(cfg, "threads", entries)
 
 
-def check_serve_gate(doc: dict, min_speedup: float = 1.5) -> List[str]:
-    """Hard gates: bit-identity always; throughput ratio when measured.
+#: Config fields a baseline must share for its speedup to be comparable:
+#: the model, the request geometry and the sweep.  Each sweep's config
+#: lacks the other sweep's fields, so a thread document never gates
+#: against a proc baseline.
+_COMPAT_KEYS = (
+    "model", "algorithm", "width", "hw", "m", "request_batch",
+    "requests_per_thread", "threads", "client_threads", "procs", "wisdom",
+)
 
-    Returns human-readable violations; empty means PASS.  The identity
-    gate compares served outputs against serial eager execution and is
-    host-independent; the throughput gate fires only when the sweep
-    includes 1 thread and a multi-thread point.
+
+def check_serve_gate(
+    doc: dict,
+    baseline: Optional[dict] = None,
+    min_speedup: float = 0.0,
+    speedup_tolerance: float = 0.5,
+) -> List[str]:
+    """Gates for either sweep's document; empty list means PASS.
+
+    Hard, host-independent gates: every sweep point serves outputs
+    bit-identical to serial eager execution, and (proc sweep with
+    wisdom) all workers converge to identical algorithm selections.
+
+    Host-dependent gates are opt-in: ``min_speedup > 0`` requires the
+    throughput at the largest sweep point to be at least that multiple
+    of the throughput at 1, and a ``baseline`` document adds a *ratio*
+    gate -- the speedup may not collapse below ``speedup_tolerance``
+    times the baseline's speedup (ratios drift far less across hosts
+    than absolute image rates).
     """
+    sweep = doc["sweep"]
     violations: List[str] = []
     for entry in doc["results"]:
         if not entry["exact"]:
             violations.append(
-                f"{entry['threads']} client thread(s): served outputs are not "
+                f"{sweep}={entry['n']}: served outputs are not "
                 f"bit-identical to serial eager execution"
             )
-    speedup = doc["summary"].get("throughput_speedup")
+        if not entry.get("selection_converged", True):
+            violations.append(
+                f"{sweep}={entry['n']}: workers disagree on algorithm "
+                f"selections despite sharing one wisdom file"
+            )
+    speedup = doc["summary"].get("speedup")
     if speedup is not None and speedup < min_speedup:
         violations.append(
-            f"throughput at {doc['summary']['speedup_threads']} client threads is "
-            f"{speedup:.2f}x the 1-thread throughput (gate: >= {min_speedup:.2f}x)"
+            f"throughput at {sweep}={doc['summary']['speedup_at']} is "
+            f"{speedup:.2f}x the throughput at {sweep}=1 "
+            f"(gate: >= {min_speedup:.2f}x)"
         )
-    return violations
+    if baseline is None:
+        return violations
+    refused = incompatible(doc, baseline, _COMPAT_KEYS)
+    if refused:
+        return violations + refused
+    return violations + below_floor(
+        f"{sweep} speedup", speedup, baseline["summary"].get("speedup"),
+        speedup_tolerance,
+    )
 
 
 def format_serve_bench(doc: dict) -> str:
-    """Human-readable table for one serve-bench document."""
-    cfg = doc["config"]
+    """Human-readable table for either sweep's document."""
+    cfg, sweep, summary = doc["config"], doc["sweep"], doc["summary"]
+    procs = sweep == "procs"
+    setup = (
+        f"clients={cfg['client_threads']} wisdom={'on' if cfg['wisdom'] else 'off'}"
+        if procs
+        else f"workers={cfg['workers']}"
+    )
+    label = "procs" if procs else "clients"
     lines = [
-        f"Serving benchmark -- model={cfg['model']}/{cfg['algorithm']} "
-        f"hw={cfg['hw']} width={cfg['width']} request_batch={cfg['request_batch']} "
-        f"requests/thread={cfg['requests_per_thread']} "
-        f"max_batch={cfg['max_batch']} max_delay={cfg['max_delay_ms']}ms "
-        f"workers={cfg['workers']}",
-        f"{'clients':>7s} {'images':>6s} {'wall':>9s} {'imgs/s':>8s} "
+        f"{'Multi-process serving' if procs else 'Serving'} benchmark -- "
+        f"model={cfg['model']}/{cfg['algorithm']} hw={cfg['hw']} "
+        f"width={cfg['width']} request_batch={cfg['request_batch']} "
+        f"requests/client={cfg['requests_per_thread']} "
+        f"max_batch={cfg['max_batch']} max_delay={cfg['max_delay_ms']}ms {setup}",
+        f"{label:>7s} {'images':>6s} {'wall':>9s} {'imgs/s':>8s} "
         f"{'batch~':>6s} {'p50':>8s} {'p95':>8s} {'exact':>6s}",
     ]
     for e in doc["results"]:
         lat = e["latency"]
         lines.append(
-            f"{e['threads']:7d} {e['images']:6d} {e['wall_s'] * 1e3:7.1f}ms "
+            f"{e['n']:7d} {e['images']:6d} {e['wall_s'] * 1e3:7.1f}ms "
             f"{e['throughput_ips']:8.1f} {e['mean_batch_images']:6.1f} "
             f"{lat['p50_ms']:6.1f}ms {lat['p95_ms']:6.1f}ms "
             f"{'yes' if e['exact'] else 'NO':>6s}"
         )
-    speedup = doc["summary"].get("throughput_speedup")
-    if speedup is not None:
+    if "speedup" in summary:
         lines.append(
-            f"throughput speedup at {doc['summary']['speedup_threads']} clients "
-            f"vs 1: {speedup:.2f}x"
+            f"throughput speedup at {summary['speedup_at']} {label} vs 1: "
+            f"{summary['speedup']:.2f}x"
         )
-    lines.append(f"bit-identity vs serial eager: {'yes' if doc['summary']['exact'] else 'NO'}")
+    lines.append(f"bit-identity vs serial eager: {'yes' if summary['exact'] else 'NO'}")
+    if procs and cfg["wisdom"]:
+        lines.append(
+            "cross-process selection convergence: "
+            f"{'yes' if summary['selection_converged'] else 'NO'}"
+        )
     return "\n".join(lines)
 
 
@@ -315,33 +372,8 @@ class ProcBenchConfig:
     seed: int = SEED
 
 
-def _build_proc_model(cfg: ProcBenchConfig):
-    """Build + quantize the benchmark model (workers compile their own
-    sessions from a pickle of this object)."""
-    from ..nn.quantize import quantize_model
-
-    case = ModelCase(cfg.model, cfg.algorithm, hw=cfg.hw, width=cfg.width, m=cfg.m)
-    model = build_case_model(case)
-    rng = np.random.default_rng(cfg.seed)
-    calib = rng.standard_normal((max(2, cfg.request_batch), 3, cfg.hw, cfg.hw))
-    if cfg.algorithm != "fp32":
-        quantize_model(model, cfg.algorithm, m=cfg.m, calibration_batches=[calib])
-    return model, (cfg.request_batch, 3, cfg.hw, cfg.hw)
-
-
-def _proc_inputs(cfg: ProcBenchConfig) -> List[List[np.ndarray]]:
-    rng = np.random.default_rng(cfg.seed + 1)
-    return [
-        [
-            rng.standard_normal((cfg.request_batch, 3, cfg.hw, cfg.hw))
-            for _ in range(cfg.requests_per_thread)
-        ]
-        for _ in range(cfg.client_threads)
-    ]
-
-
 def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
-    """Run the worker-count sweep and return the JSON document.
+    """Run the worker-count sweep and return the serve-bench document.
 
     Bit-identity is gated against serial eager execution *with the same
     wisdom applied*: workers unpickle private model copies and apply the
@@ -355,8 +387,9 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
 
     from .router import ProcServer
 
-    model, input_shape = _build_proc_model(cfg)
-    inputs = _proc_inputs(cfg)
+    model = _build_model(cfg)
+    input_shape = (cfg.request_batch, 3, cfg.hw, cfg.hw)
+    inputs = _client_inputs(cfg, cfg.client_threads)
 
     with tempfile.TemporaryDirectory(prefix="repro-proc-bench-") as tmp:
         wisdom_path = str(Path(tmp) / "wisdom.json") if cfg.wisdom else None
@@ -384,167 +417,21 @@ def run_proc_bench(cfg: ProcBenchConfig = ProcBenchConfig()) -> dict:
                             wisdom=wisdom_path,
                         )
                     expected = [[model(x) for x in reqs] for reqs in inputs]
-                server.infer("bench", inputs[0][0], timeout=60.0)
-                wall, outputs = _measure(server, "bench", inputs)
-                stats = server.stats()["bench"]
+                entry = _sweep_point(server, procs, inputs, expected)
                 pool = server.pool_stats()
-                selections = (
-                    server.selection("bench") if cfg.wisdom else {}
-                )
+                selections = server.selection("bench") if cfg.wisdom else {}
             finally:
                 server.close()
-            exact = all(
-                np.array_equal(outputs[tid][i], expected[tid][i])
-                for tid in range(cfg.client_threads)
-                for i in range(cfg.requests_per_thread)
+            distinct = {tuple(sorted(sel.items())) for sel in selections.values()}
+            entry.update(
+                restarts=pool["restarts"],
+                selection_workers=len(selections),
+                selection_converged=len(distinct) <= 1,
+                selection=(
+                    dict(sorted(next(iter(selections.values())).items()))
+                    if selections
+                    else {}
+                ),
             )
-            distinct = {
-                tuple(sorted(sel.items())) for sel in selections.values()
-            }
-            images = cfg.client_threads * cfg.requests_per_thread * cfg.request_batch
-            entries.append(
-                {
-                    "procs": procs,
-                    "clients": cfg.client_threads,
-                    "images": images,
-                    "wall_s": wall,
-                    "throughput_ips": images / wall,
-                    "exact": exact,
-                    "restarts": pool["restarts"],
-                    "selection_workers": len(selections),
-                    "selection_converged": len(distinct) <= 1,
-                    "selection": (
-                        dict(sorted(next(iter(selections.values())).items()))
-                        if selections
-                        else {}
-                    ),
-                    "mean_batch_images": stats["mean_batch_images"],
-                    "batches": stats["batches"],
-                    "rejected": stats["rejected"],
-                    "latency": stats["latency"],
-                }
-            )
-
-    by_procs = {e["procs"]: e for e in entries}
-    max_procs = max(cfg.procs)
-    summary: Dict[str, object] = {
-        "exact": all(e["exact"] for e in entries),
-        "selection_converged": all(e["selection_converged"] for e in entries),
-    }
-    if 1 in by_procs and max_procs > 1:
-        summary["proc_speedup"] = (
-            by_procs[max_procs]["throughput_ips"] / by_procs[1]["throughput_ips"]
-        )
-        summary["speedup_procs"] = max_procs
-    return {
-        "schema": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "results": entries,
-        "summary": summary,
-    }
-
-
-#: Baseline-comparison keys that must match for a ratio gate to be
-#: meaningful (same model, geometry, and sweep).
-_PROC_CONFIG_KEYS = (
-    "model", "algorithm", "width", "hw", "m", "request_batch",
-    "requests_per_thread", "client_threads", "procs", "wisdom",
-)
-
-
-def check_proc_gate(
-    doc: dict,
-    baseline: Optional[dict] = None,
-    min_speedup: float = 0.0,
-    speedup_tolerance: float = 0.5,
-) -> List[str]:
-    """Gates for one proc-bench document; empty list means PASS.
-
-    Hard, host-independent gates: every worker count serves bit-identical
-    bytes, and (when wisdom is on) all workers of every configuration
-    converge to identical algorithm selections.
-
-    Host-dependent gates are opt-in: ``min_speedup > 0`` requires
-    ``throughput(max procs) >= min_speedup * throughput(1 proc)``
-    (meaningless on single-core runners, hence off by default), and a
-    ``baseline`` document adds a *ratio* gate -- the measured speedup
-    may not collapse below ``speedup_tolerance`` times the committed
-    baseline's speedup (ratios drift far less across hosts than
-    absolute image rates).
-    """
-    violations: List[str] = []
-    for entry in doc["results"]:
-        if not entry["exact"]:
-            violations.append(
-                f"{entry['procs']} worker proc(s): served outputs are not "
-                f"bit-identical to serial eager execution"
-            )
-        if doc["config"].get("wisdom") and not entry["selection_converged"]:
-            violations.append(
-                f"{entry['procs']} worker proc(s): workers disagree on "
-                f"algorithm selections despite sharing one wisdom file"
-            )
-    speedup = doc["summary"].get("proc_speedup")
-    if min_speedup > 0 and speedup is not None and speedup < min_speedup:
-        violations.append(
-            f"throughput at {doc['summary']['speedup_procs']} procs is "
-            f"{speedup:.2f}x the 1-proc throughput (gate: >= {min_speedup:.2f}x)"
-        )
-    if baseline is not None:
-        for key in _PROC_CONFIG_KEYS:
-            ours, theirs = doc["config"].get(key), baseline["config"].get(key)
-            if isinstance(ours, list) or isinstance(theirs, list):
-                ours, theirs = list(ours or ()), list(theirs or ())
-            if ours != theirs:
-                violations.append(
-                    f"config mismatch vs baseline: {key} = {ours!r} "
-                    f"(baseline {theirs!r}); ratio gate not comparable"
-                )
-                return violations
-        base_speedup = baseline["summary"].get("proc_speedup")
-        if speedup is not None and base_speedup:
-            floor = base_speedup * speedup_tolerance
-            if speedup < floor:
-                violations.append(
-                    f"proc speedup regressed: {speedup:.2f}x vs baseline "
-                    f"{base_speedup:.2f}x (floor: {floor:.2f}x)"
-                )
-    return violations
-
-
-def format_proc_bench(doc: dict) -> str:
-    """Human-readable table for one proc-bench document."""
-    cfg = doc["config"]
-    lines = [
-        f"Multi-process serving benchmark -- model={cfg['model']}/"
-        f"{cfg['algorithm']} hw={cfg['hw']} width={cfg['width']} "
-        f"clients={cfg['client_threads']} request_batch={cfg['request_batch']} "
-        f"wisdom={'on' if cfg['wisdom'] else 'off'}",
-        f"{'procs':>5s} {'images':>6s} {'wall':>9s} {'imgs/s':>8s} "
-        f"{'batch~':>6s} {'p95':>8s} {'exact':>6s} {'conv':>5s}",
-    ]
-    for e in doc["results"]:
-        lines.append(
-            f"{e['procs']:5d} {e['images']:6d} {e['wall_s'] * 1e3:7.1f}ms "
-            f"{e['throughput_ips']:8.1f} {e['mean_batch_images']:6.1f} "
-            f"{e['latency']['p95_ms']:6.1f}ms "
-            f"{'yes' if e['exact'] else 'NO':>6s} "
-            f"{('yes' if e['selection_converged'] else 'NO') if cfg['wisdom'] else '-':>5s}"
-        )
-    speedup = doc["summary"].get("proc_speedup")
-    if speedup is not None:
-        lines.append(
-            f"throughput speedup at {doc['summary']['speedup_procs']} procs "
-            f"vs 1: {speedup:.2f}x"
-        )
-    lines.append(
-        f"bit-identity vs serial eager: {'yes' if doc['summary']['exact'] else 'NO'}"
-    )
-    if cfg["wisdom"]:
-        lines.append(
-            "cross-process selection convergence: "
-            f"{'yes' if doc['summary']['selection_converged'] else 'NO'}"
-        )
-    return "\n".join(lines)
+            entries.append(entry)
+    return _document(cfg, "procs", entries)

@@ -350,7 +350,7 @@ class Server:
             # Only true backpressure counts as a shed.  A closed queue
             # (shutdown racing a submit) raises ServerClosed instead --
             # recording that as a rejection would inflate the shed rate
-            # ``check_load_gate`` gates against the committed baseline.
+            # ``ModelStats`` reports.
             entry.stats.record_rejection()
             raise
         entry.stats.record_request(request.n_images)

@@ -3,13 +3,13 @@
 and emit the ``benchmarks/BENCH_tuning.json`` document.
 
 The document's headline metric is the **selected-vs-static ratio** per
-geometry: measured seconds of the analytic planner's choice divided by
-measured seconds of the selector's choice, on the same host, same
-seeded inputs.  Because the static candidate is always in the measured
-set, this ratio is >= 1.0 by construction -- selection never regresses
-a shape -- and the gate enforces exactly that (plus a generous
-baseline-relative tolerance on the geomean, in the bench-smoke style:
-ratios only, never absolute wall-clock).
+geometry: the median seconds of the analytic planner's choice divided
+by the median seconds of the selector's choice, over the same paired
+rounds on the same seeded inputs.  Because the static candidate is
+always in the measured set, this ratio is >= 1.0 by construction --
+selection never regresses a shape -- and the gate enforces exactly that
+(plus a generous baseline-relative tolerance on the geomean, in the
+bench-smoke style: ratios only, never absolute wall-clock).
 
 Determinism is part of the document: after the sweep every geometry is
 re-selected out of the wisdom file (``measure=False``) and must
@@ -20,14 +20,19 @@ identical selections -- the second run never measures at all.
 
 from __future__ import annotations
 
-import platform
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from ..runtime.bench import (
+    ModelCase,
+    _geomean,
+    below_floor,
+    build_case_model,
+    envelope,
+    incompatible,
+)
 from .selector import AlgorithmSelector, model_geometries
 from .wisdom import WisdomFile
 
@@ -36,11 +41,12 @@ __all__ = [
     "run_tune_bench",
     "check_tuning_gate",
     "format_tune_bench",
-    "DEFAULT_BENCH_PATH",
 ]
 
-SCHEMA_VERSION = 1
-DEFAULT_BENCH_PATH = "benchmarks/BENCH_tuning.json"
+#: Floor of every selected-vs-static ratio.  Selection never regresses a
+#: shape (the static candidate is in the measured set), so this only
+#: absorbs float round-trip.
+MIN_RATIO = 0.999
 
 
 @dataclass(frozen=True)
@@ -50,14 +56,15 @@ class TuneBenchConfig:
     ``family`` selects the candidate set per geometry
     (:data:`~repro.tuning.selector.FAMILIES`): ``"quantized"`` sweeps
     the INT8 pipelines, ``"fp32"`` sweeps fp32_winograd@m vs
-    fp32_direct under the family-qualified wisdom keys.
+    fp32_direct under the family-qualified wisdom keys.  ``repeats``
+    is the number of paired rounds each geometry's candidates run.
     """
 
     model: str = "resnet"
     width: int = 8
     hw: int = 8
     batch: int = 2
-    repeats: int = 2
+    repeats: int = 15
     seed: int = 2021
     family: str = "quantized"
 
@@ -74,8 +81,6 @@ def run_tune_bench(
     (:meth:`WisdomFile.batch`), fixing the O(n^2) I/O a per-geometry
     flush would cost.
     """
-    from ..runtime.bench import ModelCase, _geomean, build_case_model
-
     model = build_case_model(
         ModelCase(cfg.model, "auto", batch=cfg.batch, hw=cfg.hw, width=cfg.width)
     )
@@ -128,10 +133,7 @@ def run_tune_bench(
 
     ratios = [r["selected_vs_static"] for r in rows]
     doc = {
-        "schema": SCHEMA_VERSION,
-        "config": asdict(cfg),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
+        **envelope(asdict(cfg)),
         "geometries": rows,
         "deterministic": deterministic,
         "summary": {
@@ -154,19 +156,15 @@ _COMPAT_KEYS = ("model", "width", "hw", "batch", "repeats", "seed", "family")
 
 
 def check_tuning_gate(
-    current: dict,
-    baseline: Optional[dict] = None,
-    gate: float = 0.25,
-    min_ratio: float = 0.999,
+    current: dict, baseline: Optional[dict] = None, gate: float = 0.25
 ) -> List[str]:
     """Gate the tuning document; empty list means PASS.
 
     Hard, host-independent gates: determinism out of wisdom, and the
-    per-geometry selected-vs-static ratio floor (selection never
-    regresses a shape -- by construction ~1.0 even on a noisy host,
-    ``min_ratio`` only absorbs float round-trip).  The baseline gate is
-    the generous bench-smoke style: the geomean ratio must not drop
-    more than ``gate`` below the committed value.
+    per-geometry selected-vs-static ratio floor :data:`MIN_RATIO`
+    (selection never regresses a shape).  The baseline gate is the
+    generous bench-smoke style: the geomean ratio must not drop more
+    than ``gate`` below the committed value.
     """
     violations: List[str] = []
     if not current.get("deterministic", False):
@@ -176,38 +174,25 @@ def check_tuning_gate(
         )
     for row in current.get("geometries", []):
         ratio = row.get("selected_vs_static")
-        if ratio is not None and ratio < min_ratio:
+        if ratio is not None and ratio < MIN_RATIO:
             violations.append(
                 f"{row['key']}: selected {row['selected']} is slower than "
-                f"static {row['static']} (ratio {ratio:.3f} < {min_ratio})"
+                f"static {row['static']} (ratio {ratio:.3f} < {MIN_RATIO})"
             )
     geomean = current.get("summary", {}).get("selected_vs_static_geomean")
-    if geomean is not None and geomean < min_ratio:
+    if geomean is not None and geomean < MIN_RATIO:
         violations.append(
-            f"selected-vs-static geomean {geomean:.3f} < {min_ratio}"
+            f"selected-vs-static geomean {geomean:.3f} < {MIN_RATIO}"
         )
     if baseline is None:
         return violations
-    cur_cfg, base_cfg = current.get("config", {}), baseline.get("config", {})
-    mismatched = [k for k in _COMPAT_KEYS if cur_cfg.get(k) != base_cfg.get(k)]
-    if mismatched:
-        violations.append(
-            "baseline incompatible with this run (config fields differ: "
-            + ", ".join(
-                f"{k}: {base_cfg.get(k)!r} -> {cur_cfg.get(k)!r}" for k in mismatched
-            )
-            + "); regenerate it with --update-baseline"
-        )
-        return violations
-    base_geomean = baseline.get("summary", {}).get("selected_vs_static_geomean")
-    if geomean is not None and base_geomean:
-        floor = base_geomean * (1.0 - gate)
-        if geomean < floor:
-            violations.append(
-                f"selected-vs-static geomean {geomean:.3f} < "
-                f"{1.0 - gate:.2f} * baseline {base_geomean:.3f}"
-            )
-    return violations
+    refused = incompatible(current, baseline, _COMPAT_KEYS)
+    if refused:
+        return violations + refused
+    return violations + below_floor(
+        "selected-vs-static geomean", geomean,
+        baseline.get("summary", {}).get("selected_vs_static_geomean"), 1.0 - gate,
+    )
 
 
 def format_tune_bench(doc: dict) -> str:

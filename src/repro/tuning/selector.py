@@ -37,13 +37,13 @@ proc bench gates that their applied selections are identical).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..perf import CASCADE_LAKE_8C, predict_layer_times
+from ..perf import measured as perf_measured
 from ..winograd import quant_error_model, winograd_algorithm
 from ..workloads import LayerConfig
 from .wisdom import KEY_NAMESPACE, WisdomFile
@@ -201,8 +201,8 @@ class SelectionResult:
     geometry: ConvGeometry
     algorithm: str
     m: int
-    #: Best-of measured seconds per candidate label (empty for a purely
-    #: static result).
+    #: Median seconds over paired rounds per candidate label (empty for
+    #: a purely static result).
     measured: Dict[str, float] = field(default_factory=dict)
     #: The analytic planner's choice, as a label.
     static: str = ""
@@ -250,9 +250,9 @@ def swap_preserves_calibration(conv, algorithm: str, m: int) -> bool:
       tied to its ``m``, which cannot be rebuilt at swap time -- it is
       only ever "applied" as a no-op (the quantizer installed it).
 
-    Apply sites (:func:`repro.runtime.compiler.apply_selection`,
-    :meth:`repro.runtime.session.InferenceSession.refresh_selection`)
-    skip inapplicable swaps, keeping the current engine -- selection
+    The one apply step (:func:`repro.runtime.compiler.reselect_conv`,
+    behind both lowering and ``InferenceSession.refresh_selection``)
+    skips inapplicable swaps, keeping the current engine -- selection
     never regresses a conv's numerics to reach a faster kernel.
     """
     from ..runtime.compiler import algorithm_of_engine
@@ -387,11 +387,15 @@ class AlgorithmSelector:
         abort: Optional[Callable[[], bool]] = None,
         family: str = "quantized",
     ) -> Optional[SelectionResult]:
-        """Seeded best-of measurement of every admitted candidate.
+        """Seeded paired-rounds measurement of every admitted candidate.
 
-        ``abort`` is polled between candidates (the background tuner
-        passes a queue-idleness probe); returns None when aborted so
-        nothing half-measured is ever persisted.
+        The candidates run interleaved through
+        :func:`repro.perf.measured.measure`, ``repeats`` rounds, and the
+        one with the least median wins -- so the static candidate's
+        median is never below the winner's.  ``abort`` is polled between
+        calls (the background tuner passes a queue-idleness probe);
+        returns None when aborted so nothing half-measured is ever
+        persisted.
         """
         static = self.static_choice(geom, family=family)
         candidates = candidate_algorithms(geom, self.min_snr_db, family=family)
@@ -407,10 +411,8 @@ class AlgorithmSelector:
         filters = (rng.standard_normal(
             (geom.k, geom.c, geom.r, geom.r)) * std).astype(np.float64)
         engine = self._measure_engine()
-        measured: Dict[str, float] = {}
+        fns = {}
         for algorithm, m in candidates:
-            if abort is not None and abort():
-                return None
             kwargs = (
                 {"stride": geom.stride}
                 if algorithm in ("int8_direct", "fp32_direct")
@@ -418,11 +420,11 @@ class AlgorithmSelector:
             )
             layer = engine.layer(filters, algorithm, m=max(m, 2),
                                  padding=geom.padding, **kwargs)
-            layer(x)  # warm: plan build + scratch allocation
-            best = min(
-                _timed(layer, x) for _ in range(self.repeats)
-            )
-            measured[_label(algorithm, m)] = best
+            fns[_label(algorithm, m)] = lambda layer=layer: layer(x)
+        timed = perf_measured.measure(fns, self.repeats, abort=abort)
+        if timed is None:
+            return None
+        measured = {label: timed.median(label) for label in fns}
         best_label = min(measured, key=measured.get)
         algorithm, m = _parse_label(best_label)
         return SelectionResult(
@@ -474,8 +476,3 @@ class AlgorithmSelector:
             static=str(entry.get("static", "")), source="wisdom",
         )
 
-
-def _timed(layer, x) -> float:
-    t0 = time.perf_counter()
-    layer(x)
-    return time.perf_counter() - t0

@@ -7,10 +7,14 @@ import pytest
 from repro.runtime.bench import (
     FULL_PROFILE,
     QUICK_PROFILE,
+    SCHEMA_VERSION,
     BenchProfile,
     ModelCase,
+    below_floor,
     check_regression,
+    envelope,
     format_bench,
+    incompatible,
     load_json,
     run_bench,
     scale_layer,
@@ -24,7 +28,6 @@ TINY_PROFILE = BenchProfile(
     hw_cap=8,
     chan_cap=8,
     repeats=1,
-    reference_repeats=1,
 )
 
 
@@ -51,8 +54,8 @@ class TestScaleLayer:
 
 class TestRunBench:
     def test_document_schema(self, doc):
-        assert doc["schema"] == 1
-        assert doc["profile"]["name"] == "quick"
+        assert doc["schema"] == SCHEMA_VERSION
+        assert doc["config"]["name"] == "quick"
         (entry,) = doc["layers"]
         assert entry["name"] == "VGG16_b"
         assert entry["batch"] == 1 and entry["c"] == 8 and entry["hw"] == 8
@@ -113,7 +116,7 @@ class TestCheckRegression:
 
     def test_incompatible_profile_refused(self, doc):
         other = copy.deepcopy(doc)
-        other["profile"]["hw_cap"] = 99
+        other["config"]["hw_cap"] = 99
         violations = check_regression(doc, other)
         assert len(violations) == 1 and "incompatible" in violations[0]
 
@@ -122,6 +125,37 @@ class TestCheckRegression:
         regressed["summary"]["reference_speedup"]["lowino"]["geomean"] *= 0.9
         assert check_regression(regressed, doc, gate=0.25) == []
         assert check_regression(regressed, doc, gate=0.05) != []
+
+
+class TestSharedGatePieces:
+    """What every perf gate shares: the compat check and the floor."""
+
+    def test_compat_message_names_each_differing_key(self):
+        current = envelope({"model": "vgg", "hw": 8, "procs": (1, 2)})
+        baseline = envelope({"model": "vgg", "hw": 16, "procs": [1, 2]})
+        assert incompatible(current, current, ("model", "hw")) == []
+        # Tuples and their JSON lists compare equal; keys outside the
+        # producer's list are never compared.
+        assert incompatible(current, baseline, ("model", "procs")) == []
+        (message,) = incompatible(current, baseline, ("model", "hw", "seed"))
+        assert message == (
+            "baseline incompatible with this run (config fields differ: "
+            "hw: 16 -> 8); regenerate it with --update-baseline"
+        )
+
+    def test_compat_refuses_another_schema(self):
+        current = envelope({"model": "vgg"})
+        old = dict(current, schema=SCHEMA_VERSION - 1)
+        (message,) = incompatible(current, old, ("model",))
+        assert "schema" in message and "--update-baseline" in message
+
+    def test_floor_at_its_boundary(self):
+        assert below_floor("x", 0.75, 1.0, 0.75) == []
+        (message,) = below_floor("x", 0.7499, 1.0, 0.75)
+        assert message.startswith("x regressed: 0.750x < 0.75 * baseline")
+        # A missing value on either side is not a regression.
+        assert below_floor("x", None, 1.0, 0.75) == []
+        assert below_floor("x", 0.1, None, 0.75) == []
 
 
 class TestJsonRoundTrip:
@@ -148,7 +182,6 @@ MODEL_PROFILE = BenchProfile(
     repeats=1,
     reference=False,
     model_cases=(ModelCase("vgg", "lowino", batch=1, hw=8, width=8, m=2),),
-    model_repeats=1,
 )
 
 
@@ -192,7 +225,7 @@ class TestModelBench:
 
     def test_model_cases_are_compat_keys(self, model_doc):
         other = copy.deepcopy(model_doc)
-        other["profile"]["model_cases"] = []
+        other["config"]["model_cases"] = []
         violations = check_regression(model_doc, other)
         assert len(violations) == 1 and "incompatible" in violations[0]
 

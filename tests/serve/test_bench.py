@@ -19,9 +19,7 @@ from repro.serve.bench import (
     SCHEMA_VERSION,
     ProcBenchConfig,
     ServeBenchConfig,
-    check_proc_gate,
     check_serve_gate,
-    format_proc_bench,
     format_serve_bench,
     load_json,
     run_proc_bench,
@@ -48,13 +46,14 @@ class TestDocument:
     def test_schema_and_entries(self, doc):
         assert doc["schema"] == SCHEMA_VERSION
         assert doc["config"]["model"] == "vgg"
-        assert [e["threads"] for e in doc["results"]] == [1, 2]
+        assert doc["sweep"] == "threads"
+        assert [e["n"] for e in doc["results"]] == [1, 2]
         for e in doc["results"]:
-            assert e["images"] == e["threads"] * 2 * 2
+            assert e["images"] == e["n"] * 2 * 2
             assert e["throughput_ips"] > 0
             assert set(e["latency"]) >= {"count", "p50_ms", "p95_ms"}
-        assert doc["summary"]["speedup_threads"] == 2
-        assert doc["summary"]["throughput_speedup"] > 0
+        assert doc["summary"]["speedup_at"] == 2
+        assert doc["summary"]["speedup"] > 0
 
     def test_served_results_bit_identical(self, doc):
         """The tentpole contract: every served request, coalesced or
@@ -160,7 +159,7 @@ class TestGate:
     def test_throughput_violation_detected(self, doc):
         bad = {
             **doc,
-            "summary": {"exact": True, "throughput_speedup": 1.0, "speedup_threads": 2},
+            "summary": {"exact": True, "speedup": 1.0, "speedup_at": 2},
         }
         violations = check_serve_gate(bad, min_speedup=1.5)
         assert len(violations) == 1 and "throughput" in violations[0]
@@ -181,14 +180,15 @@ def proc_doc():
 class TestProcDocument:
     def test_schema_and_entries(self, proc_doc):
         assert proc_doc["schema"] == SCHEMA_VERSION
-        assert [e["procs"] for e in proc_doc["results"]] == [1, 2]
+        assert proc_doc["sweep"] == "procs"
+        assert [e["n"] for e in proc_doc["results"]] == [1, 2]
         for e in proc_doc["results"]:
             assert e["images"] == 2 * 2 * 2
             assert e["throughput_ips"] > 0
             assert e["restarts"] == 0
             assert set(e["latency"]) >= {"count", "p50_ms", "p95_ms"}
-        assert proc_doc["summary"]["speedup_procs"] == 2
-        assert proc_doc["summary"]["proc_speedup"] > 0
+        assert proc_doc["summary"]["speedup_at"] == 2
+        assert proc_doc["summary"]["speedup"] > 0
 
     def test_every_worker_count_is_bit_identical(self, proc_doc):
         assert all(e["exact"] for e in proc_doc["results"])
@@ -196,7 +196,7 @@ class TestProcDocument:
 
     def test_workers_converge_on_one_selection(self, proc_doc):
         assert proc_doc["summary"]["selection_converged"] is True
-        two = next(e for e in proc_doc["results"] if e["procs"] == 2)
+        two = next(e for e in proc_doc["results"] if e["n"] == 2)
         assert two["selection_workers"] == 2
         # int8_upcast calibration carries across swaps, so selections
         # actually applied -- the convergence check is non-vacuous.
@@ -206,10 +206,10 @@ class TestProcDocument:
     def test_json_round_trip_drives_the_gate(self, proc_doc, tmp_path):
         path = tmp_path / "procs.json"
         write_json(proc_doc, path)
-        assert check_proc_gate(load_json(path)) == []
+        assert check_serve_gate(load_json(path)) == []
 
     def test_format_mentions_gatekeeping_facts(self, proc_doc):
-        text = format_proc_bench(proc_doc)
+        text = format_serve_bench(proc_doc)
         assert "procs" in text and "exact" in text
         assert "bit-identity" in text and "convergence" in text
 
@@ -217,7 +217,7 @@ class TestProcDocument:
 class TestProcGate:
     def test_identity_violation_detected(self, proc_doc):
         bad = {**proc_doc, "results": [dict(proc_doc["results"][0], exact=False)]}
-        violations = check_proc_gate(bad)
+        violations = check_serve_gate(bad)
         assert len(violations) == 1 and "bit-identical" in violations[0]
 
     def test_divergent_selections_detected(self, proc_doc):
@@ -225,39 +225,39 @@ class TestProcGate:
             **proc_doc,
             "results": [dict(proc_doc["results"][1], selection_converged=False)],
         }
-        violations = check_proc_gate(bad)
+        violations = check_serve_gate(bad)
         assert len(violations) == 1 and "disagree" in violations[0]
 
     def test_min_speedup_gate(self, proc_doc):
         doc = {
             **proc_doc,
-            "summary": dict(proc_doc["summary"], proc_speedup=1.1, speedup_procs=2),
+            "summary": dict(proc_doc["summary"], speedup=1.1, speedup_at=2),
         }
-        assert check_proc_gate(doc, min_speedup=0.0) == []
-        violations = check_proc_gate(doc, min_speedup=1.7)
+        assert check_serve_gate(doc, min_speedup=0.0) == []
+        violations = check_serve_gate(doc, min_speedup=1.7)
         assert len(violations) == 1 and "throughput" in violations[0]
 
     def test_baseline_ratio_gate(self, proc_doc):
         current = {
             **proc_doc,
-            "summary": dict(proc_doc["summary"], proc_speedup=1.0, speedup_procs=2),
+            "summary": dict(proc_doc["summary"], speedup=1.0, speedup_at=2),
         }
         healthy = {
             **proc_doc,
-            "summary": dict(proc_doc["summary"], proc_speedup=1.8, speedup_procs=2),
+            "summary": dict(proc_doc["summary"], speedup=1.8, speedup_at=2),
         }
         # 1.0x vs a 1.8x baseline at tolerance 0.5 passes (floor 0.9x)...
-        assert check_proc_gate(current, baseline=healthy) == []
+        assert check_serve_gate(current, baseline=healthy) == []
         # ...but collapsing below the floor is a violation.
-        violations = check_proc_gate(
+        violations = check_serve_gate(
             current, baseline=healthy, speedup_tolerance=1.05
         )
         assert len(violations) == 1 and "regressed" in violations[0]
 
     def test_baseline_config_mismatch_is_reported_not_compared(self, proc_doc):
         other = {**proc_doc, "config": dict(proc_doc["config"], hw=16)}
-        violations = check_proc_gate(proc_doc, baseline=other)
-        assert len(violations) == 1 and "config mismatch" in violations[0]
+        violations = check_serve_gate(proc_doc, baseline=other)
+        assert len(violations) == 1 and "incompatible" in violations[0]
 
     def test_committed_baseline_is_self_consistent(self):
         """The checked-in BENCH_serve_procs.json gates green against
@@ -269,4 +269,4 @@ class TestProcGate:
         )
         doc = load_json(path)
         assert doc["schema"] == SCHEMA_VERSION
-        assert check_proc_gate(doc, baseline=doc) == []
+        assert check_serve_gate(doc, baseline=doc) == []

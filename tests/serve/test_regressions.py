@@ -4,8 +4,7 @@ Three bugs rode in the serving path's shed / drain / latency
 accounting, each skewing a number a CI gate trusts:
 
 * ``Server.submit`` counted *any* enqueue failure as a shed, so a
-  shutdown racing a submit inflated the shed rate ``check_load_gate``
-  compares against the committed baseline;
+  shutdown racing a submit inflated the reported shed rate;
 * ``RequestQueue.next_batch`` anchored its coalescing deadline at
   consumer wake-up, so a request that had already waited in the queue
   paid queue-wait *plus* a full ``max_delay`` again;

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import bench as rbench
+from repro.runtime.bench import SCHEMA_VERSION
+from repro.tuning import bench as tbench
 
 SUBCOMMANDS = [
     "figure8",
@@ -150,10 +153,34 @@ class TestHappyPaths:
         assert "bench gate: PASS" in capsys.readouterr().out
 
     def test_bench_missing_baseline(self, tmp_path, capsys):
+        args = ["bench", "--quick", "--layers", "ResNet-50_c",
+                "--repeats", "1", "--algorithms", "fp32_direct",
+                "--no-reference", "--no-models", "--baseline"]
+        assert main(args + [str(tmp_path / "nope.json")]) == 2
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        assert main(args + [str(garbled)]) == 2
+        assert "cannot read --baseline" in capsys.readouterr().err
+
+    def test_bench_update_baseline_refuses_a_failing_run(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """The bit-identity check runs before any write: a run whose
+        compiled output is not bit-identical records no baseline."""
+        real = rbench.run_bench
+
+        def broken(*args, **kwargs):
+            doc = real(*args, **kwargs)
+            doc["models"][0]["exact"] = False
+            return doc
+
+        monkeypatch.setattr(rbench, "run_bench", broken)
+        baseline, out = tmp_path / "baseline.json", tmp_path / "out.json"
         assert main(["bench", "--quick", "--layers", "ResNet-50_c",
                      "--repeats", "1", "--algorithms", "fp32_direct",
-                     "--no-reference", "--no-models",
-                     "--baseline", str(tmp_path / "nope.json")]) == 2
+                     "--no-reference", "--out", str(out),
+                     "--baseline", str(baseline), "--update-baseline"]) == 1
+        assert "not bit-identical" in capsys.readouterr().out
+        assert not baseline.exists() and not out.exists()
 
     def test_bench_rejects_unknown_algorithm(self, capsys):
         assert main(["bench", "--quick", "--algorithms", "magic"]) == 2
@@ -173,7 +200,7 @@ class TestHappyPaths:
         assert "bit-identity vs serial eager: yes" in out
         assert "serve gate: PASS" in out
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["summary"]["exact"] is True
 
     def test_profile_tiny_run(self, tmp_path, capsys):
@@ -185,33 +212,42 @@ class TestHappyPaths:
         assert "input_transform" in out and "gemm" in out
         assert "vs step timings" in out  # tracer/step agreement line
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["stage_totals"]["gemm"] > 0
         assert set(doc["breakdown"]) == set(doc["layer_timings"])
+
+    def test_profile_baseline_round_trip(self, tmp_path, capsys):
+        """--update-baseline records the profile document; a re-run
+        gates its stage shares against the recorded stage totals."""
+        baseline = tmp_path / "stages.json"
+        args = ["profile", "--model", "vgg", "--algorithm", "lowino",
+                "--hw", "8", "--width", "8", "--m", "2", "--runs", "1",
+                # A wide tolerance: this checks the plumbing, not the
+                # shares of a 1-run profile.
+                "--stage-tolerance", "0.9", "--baseline", str(baseline)]
+        assert main(args + ["--update-baseline"]) == 0
+        assert json.loads(baseline.read_text())["stage_totals"]["gemm"] > 0
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "drift" in out and f"baseline {baseline}" in out
+        assert main(args[:-2] + ["--model", "resnet", "--baseline",
+                                 str(baseline)]) == 1
+        assert "incompatible" in capsys.readouterr().out
 
     def test_serve_bench_rejects_bad_threads(self, capsys):
         assert main(["serve-bench", "--threads", "1,zero"]) == 2
         assert main(["serve-bench", "--threads", "0"]) == 2
 
-    def test_serve_bench_persists_json_by_default(self, tmp_path, capsys,
-                                                  monkeypatch):
-        """Without --out the document lands under benchmarks/ (the serve
-        perf trajectory is on by default, not opt-in)."""
+    def test_serve_bench_no_out_skips_json(self, tmp_path, capsys, monkeypatch):
+        """Without --out a run persists nothing: a smoke run from the
+        repo root must not rewrite a committed document."""
         monkeypatch.chdir(tmp_path)
         assert main(["serve-bench", "--threads", "1,2", "--requests", "2",
                      "--width", "8", "--hw", "8", "--m", "2",
                      "--gate", "0"]) == 0
-        out = capsys.readouterr().out
-        default = tmp_path / "benchmarks" / "BENCH_serve_threads.json"
-        assert f"wrote {default.relative_to(tmp_path)}" in out
-        assert json.loads(default.read_text())["schema"] == 1
-
-    def test_serve_bench_no_out_skips_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["serve-bench", "--threads", "1", "--requests", "2",
-                     "--width", "8", "--hw", "8", "--m", "2",
-                     "--gate", "0", "--no-out"]) == 0
-        assert not (tmp_path / "benchmarks").exists()
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_bench_procs_tiny_run(self, tmp_path, capsys):
         """--procs switches to the multi-process sweep: worker processes,
@@ -224,17 +260,17 @@ class TestHappyPaths:
         assert "Multi-process serving benchmark" in out
         assert "bit-identity vs serial eager: yes" in out
         assert "cross-process selection convergence: yes" in out
-        assert "proc gate: PASS" in out
+        assert "serve gate: PASS" in out
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1
-        assert [e["procs"] for e in doc["results"]] == [1, 2]
+        assert doc["schema"] == SCHEMA_VERSION
+        assert [e["n"] for e in doc["results"]] == [1, 2]
         assert doc["summary"]["exact"] is True
         assert doc["summary"]["selection_converged"] is True
 
     def test_serve_bench_procs_baseline_round_trip(self, tmp_path, capsys,
                                                    monkeypatch):
-        """--update-baseline regenerates the committed document and a
-        second run ratio-gates against it."""
+        """--update-baseline writes the document to --baseline, and a
+        second run ratio-gates against it without rewriting it."""
         monkeypatch.chdir(tmp_path)
         args = ["serve-bench", "--procs", "1,2", "--clients", "2",
                 "--requests", "2", "--width", "8", "--hw", "8", "--m", "2",
@@ -242,15 +278,18 @@ class TestHappyPaths:
                 # Tiny single-host runs are noisy; this test checks the
                 # plumbing, not the ratio itself.
                 "--speedup-tolerance", "0.05"]
-        assert main(args + ["--update-baseline"]) == 0
+        # No default path: recording needs an explicit --baseline.
+        assert main(args + ["--update-baseline"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        baseline = tmp_path / "procs.json"
+        assert main(args + ["--baseline", str(baseline),
+                            "--update-baseline"]) == 0
         capsys.readouterr()
-        baseline = tmp_path / "benchmarks" / "BENCH_serve_procs.json"
-        assert json.loads(baseline.read_text())["schema"] == 1
-        # A plain run does NOT clobber the committed baseline...
+        recorded = baseline.read_text()
+        assert json.loads(recorded)["schema"] == SCHEMA_VERSION
         assert main(args + ["--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baseline ratio" in out
-        assert json.loads(baseline.read_text())["schema"] == 1
+        assert f"baseline {baseline}" in capsys.readouterr().out
+        assert baseline.read_text() == recorded
 
     def test_serve_bench_procs_rejects_bad_lists_and_baseline(self, tmp_path,
                                                               capsys):
@@ -270,7 +309,7 @@ class TestHappyPaths:
         assert main(args + ["--baseline", str(baseline),
                             "--update-baseline"]) == 0
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["deterministic"] is True
         assert doc["summary"]["measured"] == doc["summary"]["geometries"]
         assert all(r["selected_vs_static"] >= 1.0 for r in doc["geometries"])
@@ -290,13 +329,32 @@ class TestHappyPaths:
                      "--repeats", "1",
                      "--baseline", str(tmp_path / "nope.json")]) == 2
 
+    def test_tune_update_baseline_refuses_a_failing_run(self, tmp_path,
+                                                        capsys, monkeypatch):
+        """Determinism is checked before any write: a run whose selection
+        does not re-read identically out of wisdom records no baseline."""
+        real = tbench.run_tune_bench
+
+        def broken(*args, **kwargs):
+            doc = real(*args, **kwargs)
+            doc["deterministic"] = False
+            return doc
+
+        monkeypatch.setattr(tbench, "run_tune_bench", broken)
+        baseline, out = tmp_path / "baseline.json", tmp_path / "out.json"
+        assert main(["tune", "--width", "8", "--hw", "8", "--batch", "1",
+                     "--repeats", "1", "--out", str(out),
+                     "--baseline", str(baseline), "--update-baseline"]) == 1
+        assert "not deterministic" in capsys.readouterr().out
+        assert not baseline.exists() and not out.exists()
+
     def test_bench_writes_json(self, tmp_path, capsys):
         out_file = tmp_path / "new" / "bench.json"  # --out creates dirs
         assert main(["bench", "--quick", "--layers", "ResNet-50_c",
                      "--repeats", "1", "--algorithms", "fp32_direct,lowino",
                      "--no-reference", "--no-models", "--out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["layers"][0]["name"] == "ResNet-50_c"
 
 
