@@ -13,14 +13,15 @@ per-layer x per-stage table.
 Cost model: tracing must be free when off and cheap when on.  A
 disabled tracer (or none attached) costs one attribute check per engine
 call -- the hot path contains no timing calls at all.  Enabled, each
-conv step pays a handful of ``perf_counter`` laps and locked dict
-updates, microseconds against millisecond-scale whole-tensor stages;
-the ``repro profile --overhead`` gate measures (and CI enforces) that
-this stays within budget.
+conv step pays a handful of ``perf_counter`` laps and dict updates,
+microseconds against millisecond-scale whole-tensor stages; the
+``repro profile --overhead`` gate measures (and CI enforces) that this
+stays within budget.
 
 Thread-safety: the current layer path is thread-local (concurrent
-sessions attribute their stages correctly) and accumulation happens
-under one lock per recorded lap.
+sessions attribute their stages correctly), and so is accumulation:
+each recording thread owns one accumulator, taken without a lock, and
+the views merge them under the lock that guards their list.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ class StageTracer:
     ) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
-        #: (path, stage) -> [seconds, calls]
-        self._stages: Dict[Tuple[str, str], List[float]] = {}
+        #: One ``(path, stage) -> [seconds, calls]`` dict per recording
+        #: thread; only its thread writes it.
+        self._shards: List[Dict[Tuple[str, str], List[float]]] = []
         self._tls = threading.local()
         if registry is not None:
             registry.register_collector(self.collect)
@@ -75,12 +77,18 @@ class StageTracer:
         self.enabled = False
 
     # -- layer-path context --------------------------------------------
+    def set_path(self, path: str) -> str:
+        """Attribute this thread's later stages to ``path``; returns the
+        previous path for the caller to restore."""
+        prev = getattr(self._tls, "path", "")
+        self._tls.path = path
+        return prev
+
     @contextmanager
     def step(self, path: str) -> Iterator[None]:
         """Attribute stages recorded inside to ``path`` (re-entrant;
         the previous path is restored on exit)."""
-        prev = getattr(self._tls, "path", "")
-        self._tls.path = path
+        prev = self.set_path(path)
         try:
             yield
         finally:
@@ -94,14 +102,19 @@ class StageTracer:
     def record(self, stage: str, seconds: float, path: Optional[str] = None) -> None:
         if not self.enabled:
             return
-        key = (path if path is not None else self.current_path, stage)
-        with self._lock:
-            entry = self._stages.get(key)
-            if entry is None:
-                self._stages[key] = [seconds, 1]
-            else:
-                entry[0] += seconds
-                entry[1] += 1
+        tls = self._tls
+        shard = getattr(tls, "shard", None)
+        if shard is None:
+            shard = tls.shard = {}
+            with self._lock:
+                self._shards.append(shard)
+        key = (path if path is not None else getattr(tls, "path", ""), stage)
+        entry = shard.get(key)
+        if entry is None:
+            shard[key] = [seconds, 1]
+        else:
+            entry[0] += seconds
+            entry[1] += 1
 
     def lap(self, stage: str, t0: float) -> float:
         """Record ``now - t0`` under ``stage`` and return ``now`` --
@@ -124,22 +137,30 @@ class StageTracer:
         finally:
             self.record(stage, time.perf_counter() - t0)
 
+    def _items(self) -> List[Tuple[Tuple[str, str], Tuple[float, int]]]:
+        """The accumulators merged: ``[((path, stage), (seconds, calls))]``."""
+        with self._lock:
+            shards = list(self._shards)
+        merged: Dict[Tuple[str, str], List[float]] = {}
+        for shard in shards:
+            for key, (seconds, calls) in list(shard.items()):
+                total = merged.setdefault(key, [0.0, 0])
+                total[0] += seconds
+                total[1] += calls
+        return [(key, (seconds, calls)) for key, (seconds, calls) in merged.items()]
+
     # -- views ----------------------------------------------------------
     def breakdown(self) -> Dict[str, Dict[str, float]]:
         """``{layer path: {stage: cumulative seconds}}``."""
-        with self._lock:
-            items = list(self._stages.items())
         doc: Dict[str, Dict[str, float]] = {}
-        for (path, stage), (seconds, _) in items:
+        for (path, stage), (seconds, _) in self._items():
             doc.setdefault(path, {})[stage] = seconds
         return doc
 
     def call_counts(self) -> Dict[str, Dict[str, int]]:
         """``{layer path: {stage: recorded laps}}``."""
-        with self._lock:
-            items = list(self._stages.items())
         doc: Dict[str, Dict[str, int]] = {}
-        for (path, stage), (_, calls) in items:
+        for (path, stage), (_, calls) in self._items():
             doc.setdefault(path, {})[stage] = int(calls)
         return doc
 
@@ -162,14 +183,13 @@ class StageTracer:
 
     def reset(self) -> None:
         with self._lock:
-            self._stages = {}
+            for shard in self._shards:
+                shard.clear()
 
     # -- registry integration -------------------------------------------
     def collect(self):
         """Collector: stage seconds and call counts as counter samples."""
-        with self._lock:
-            items = list(self._stages.items())
-        for (path, stage), (seconds, calls) in items:
+        for (path, stage), (seconds, calls) in self._items():
             labels = {"layer": path, "stage": stage}
             yield Sample(
                 "repro_stage_seconds_total",

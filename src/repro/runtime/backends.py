@@ -17,14 +17,21 @@ primitives:
 * :func:`_winograd_input` -- one strided gather of the padded input
   into an ``(alpha, alpha, N*C)`` operand, then ``B^T d B`` as two
   whole-layer GEMMs that land in the ``(T, N, C)`` layout;
-  :func:`_im2col` for the direct algorithms;
-* :func:`_gemm` -- the GEMM, one ``np.matmul`` into leased scratch;
-* :func:`_wrap_divide` -- the dequantizing divide with INT32 wrap
-  semantics;
+  :func:`_im2col` for ``fp32_direct``;
+* :func:`_codes` -- the integer codes as the u8 (``+128``) or s16
+  ``(T, N, Cp)`` operand of the integer GEMM;
+* :func:`_int_gemm` -- the quantized GEMM in :mod:`repro.native`:
+  ``init + A . B`` in s32 against the plan's packed filter, ``init``
+  carrying the Eq. 9 compensation; :func:`_gemm` (one ``np.matmul``)
+  for the FP32 pipelines;
 * :func:`_winograd_output` -- ``A^T Z A`` as two whole-layer GEMMs on
-  the ``(T, N, K)`` accumulators, then assembly into a fresh output;
-  :func:`_nhwc_restore` for direct outputs;
+  the dequantized ``(T, N, K)`` accumulators, then assembly into a
+  fresh output; :func:`_nhwc_restore` for ``fp32_direct``;
 * :func:`epilogue` -- the compiled graph's bias/ReLU, in place.
+
+``int8_direct`` builds its whole u8 operand natively: a quantize-pad
+pass into a 128-bordered u8 image, a u8 im2col, the GEMM, then one
+dequantizing divide straight into the NHWC-backed output.
 
 Every intermediate lands in the call's leased scratch via ``out=``
 targets, every output is a fresh array, and each pipeline laps the
@@ -33,7 +40,7 @@ The engine (:class:`~repro.runtime.engine.ExecutionEngine`) owns the
 scratch pool and builds the call's tile grid; it hands the lease in
 through a :class:`FusedCall` and the tile grid as an argument.
 
-Every pipeline issues its GEMM as one serial ``np.matmul``.  Multi-core
+Every pipeline issues its GEMM as one serial call.  Multi-core
 execution in the paper's sense (Section 4.4, static scheduling of
 independent tile tasks) is :func:`repro.gemm.batched_gemm_blocked` at
 ``omega > 1`` on the :class:`~repro.runtime.pool.WorkerPool`, which
@@ -45,22 +52,31 @@ Every pipeline must be bit-identical to the reference layers.  The
 fused stages get away with skipping the reference's intermediate
 materializations because each skip is an exact no-op:
 
-- *Integer values carried in float64*: the spatial/Winograd-domain
-  quantized values are integers well below 2**53, so ``int8 -> f64``
-  round-trips (and the int16/int64 intermediates of the upcast path)
-  change no bits.  :func:`repro.runtime.plan._plan_meta` proves the
-  bounds at plan time; when it cannot, the pipelines fall back to the
-  reference's runtime checks and wrapping casts.
+- *Integer GEMMs wrap like the reference*: products and sums of integer
+  codes are exact in integer arithmetic, and s32 addition wraps modulo
+  2**32 -- exactly what the reference layers' ``astype(np.int32)``
+  computes, in any summation order.  The +128 bias on u8 activations
+  is removed by the compensation in ``init`` modulo 2**32 as well.
+  Codes travel between stages as exact integers in float64 (the values
+  of :func:`_round_clip` and of the integer transform ``B^T d B``), and
+  the cast into the GEMM operand changes none of them; the upcast
+  path's INT16 guard (``v16_ok``, else the reference's runtime check)
+  keeps the s16 cast exact.
 - *Float stages replay the reference's arithmetic*: ``matmul(...,
   out=)`` into a C-contiguous buffer issues the same BLAS call as a
   fresh allocation, and the GEMM-layout transforms
   (:func:`repro.winograd.gemm_layout_transform`) compute each element
   as the same two dot products, in the same order, as the reference's
   per-tile transforms -- only the BLAS call shape differs -- so the
-  FP32 stages match bitwise too.
+  FP32 stages match bitwise too.  Dequantization divides the s32
+  accumulators by the reference's own denominator.
 - *In-place epilogue*: ``out += bias`` then ``np.maximum(out, 0.0,
   out=out)`` on the fresh output computes exactly
   ``np.maximum(out + bias, 0.0)``.
+
+NaN activations raise :class:`ValueError` on every quantized pipeline:
+an integer code cannot carry NaN (the reference layers' casts turn it
+into an arbitrary integer).
 """
 
 from __future__ import annotations
@@ -69,6 +85,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import native
 from ..conv.im2col import conv_output_shape, im2col
 from ..quant import QuantParams, per_position_minmax_params, spatial_params_from_tensor
 from ..winograd import gemm_layout_transform
@@ -189,7 +206,7 @@ def _winograd_input(call: FusedCall, x: np.ndarray, grid, bt: np.ndarray) -> np.
 
 
 def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
-    """im2col lowering of the padded input; returns ``(cols, oh, ow)``.
+    """float64 im2col lowering of the padded input; returns ``(cols, oh, ow)``.
 
     The output shape comes from the *unpadded* dims with the padding
     argument, while im2col consumes the padded input -- the reference
@@ -203,7 +220,7 @@ def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
 
 
 def _gemm(call: FusedCall, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` into the leased accumulator buffer.
+    """``a @ b`` into the leased accumulator buffer (the FP32 pipelines).
 
     ``a`` is the ``(T, N, C)`` Winograd operand (``b`` then
     ``(T, C, K)``) or the 2D im2col matrix (``b`` then 2D).
@@ -211,21 +228,34 @@ def _gemm(call: FusedCall, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=call.buf("z", a.shape[:-1] + b.shape[-1:], a.dtype))
 
 
-def _wrap_divide(call: FusedCall, plan, z: np.ndarray, denom) -> np.ndarray:
-    """Dequantizing divide with the reference's INT32 wrap semantics.
+def _codes(call: FusedCall, v: np.ndarray, dtype, offset: float) -> np.ndarray:
+    """The integer codes ``v + offset`` as ``dtype`` in the ``(T, N, Cp)``
+    GEMM operand.
 
-    When the plan proves the accumulators fit INT32 (``z_wrap_free``)
-    the ``f64 -> int64 -> int32 -> f64`` round-trip is the identity and
-    the divide runs in place on the accumulator.  Otherwise the wrap is
-    applied through scratch-resident integer buffers.
+    ``v`` holds exact integers in float64 (the output of
+    :func:`_round_clip` or of the integer transform), so the cast is
+    exact.  Columns past ``C`` are left as they are: the packed filter's
+    padding rows are zero.  NaN cannot become a code; the cast's invalid
+    flag turns it into :class:`ValueError` at no extra pass.
     """
-    if plan.meta["z_wrap_free"]:
-        return np.divide(z, denom, out=z)
-    z_i64 = call.buf("z_i64", z.shape, np.int64)
-    np.copyto(z_i64, z, casting="unsafe")
-    z_i32 = call.buf("z_i32", z.shape, np.int32)
-    np.copyto(z_i32, z_i64, casting="unsafe")
-    return np.divide(z_i32, denom, out=z)
+    t, n, c = v.shape
+    a = call.buf("a", (t, n, native.padded_k(c)), dtype)
+    try:
+        with np.errstate(invalid="raise"):
+            np.add(v, offset, out=a[..., :c], casting="unsafe")
+    except FloatingPointError:
+        raise ValueError("NaN activations reached a quantized convolution") from None
+    return a
+
+
+def _int_gemm(call: FusedCall, plan, a: np.ndarray) -> np.ndarray:
+    """``init + a @ b`` in s32 (wrapping) through the native kernel:
+    ``a`` is u8 or s16 ``(T, M, Kp)``, ``b`` and ``init`` are the plan's
+    packed filter and compensation."""
+    b, init = plan.operands["b_packed"], plan.operands["init"]
+    z = call.buf("z_i32", a.shape[:2] + init.shape[1:], np.int32)
+    gemm = native.gemm_u8s8 if a.dtype == np.uint8 else native.gemm_s16s16
+    return gemm(a, b, init, z)
 
 
 def _winograd_output(
@@ -298,24 +328,14 @@ def _lowino(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     params = layer.input_params
     if params is None:
         params = per_position_minmax_params(v, position_axis=0, bits=layer.bits)
-    # Quantize + the +128 bias + the GEMM-dtype cast: the reference's
-    # int8 codes plus 128 are integers in [0, 255], exact in either
-    # float dtype.
+    # Quantize, then the +128 bias of Section 4.2.1 into the u8 operand.
     _round_clip(v, params.scale, params.qmin, params.qmax, out=v)
-    v += 128.0
-    if "u_f32" in plan.operands:
-        u, zbar = plan.operands["u_f32"], plan.operands["zbar_f32"]
-        vbar = call.buf("vbar", v.shape, np.float32)
-        np.copyto(vbar, v, casting="unsafe")
-        v = vbar
-    else:
-        u, zbar = plan.operands["u_f64"], plan.operands["zbar_f64"]
+    a = _codes(call, v, np.uint8, 128.0)
     call.lap("quantize")
-    z = _gemm(call, v, u)
-    z += zbar[:, None, :]
+    z = _int_gemm(call, plan, a)  # init = zbar, Eq. 9
     call.lap("gemm")
     # De-quantize (Eq. 6) by the (T, 1, K) scale, into float64.
-    acc = z if z.dtype == np.float64 else call.buf("acc", z.shape, np.float64)
+    acc = call.buf("acc", z.shape, np.float64)
     np.divide(z, params.scale * layer.filter_params.scale, out=acc)
     out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
@@ -336,8 +356,9 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
         max_v = int(np.abs(v).max()) if v.size else 0
         if max_v > _INT16_MAX:
             raise OverflowError(f"transformed inputs overflow INT16 (max {max_v})")
+    a = _codes(call, v, np.int16, 0.0)
     call.lap("input_transform")
-    z = _gemm(call, v, plan.operands["u_f64"])
+    z = _int_gemm(call, plan, a)
     call.lap("gemm")
     k = z.shape[2]
     denom = (
@@ -346,8 +367,9 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
         * (layer.bt_lcm**2)
         * layer.filter_scale
     )
-    z = _wrap_divide(call, plan, z, denom)
-    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
+    acc = call.buf("acc", z.shape, np.float64)
+    np.divide(z, denom, out=acc)
+    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
@@ -361,10 +383,12 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
     call.lap("quantize")
     v = _winograd_input(call, x, grid, plan.operands["bt_f64"])
     # Down-scale + round, the lossy step of Figure 2b -- the reference's
-    # saturate_cast(..., int8), elementwise on the same values.
+    # saturate_cast(..., int8), elementwise on the same values -- then
+    # the +128 bias that the plan's compensation removes again.
     _round_clip(v, layer.input_downscale / (layer.bt_lcm**2), _INT8_MIN, _INT8_MAX, out=v)
+    a = _codes(call, v, np.uint8, 128.0)
     call.lap("input_transform")
-    z = _gemm(call, v, plan.operands["u_f64"])
+    z = _int_gemm(call, plan, a)
     call.lap("gemm")
     k = z.shape[2]
     denom = (
@@ -373,27 +397,39 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
         * layer.weight_params.scale.reshape(1, 1, k)
         * layer.filter_downscale
     )
-    z = _wrap_divide(call, plan, z, denom)
-    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
+    acc = call.buf("acc", z.shape, np.float64)
+    np.divide(z, denom, out=acc)
+    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 
 
 def _int8_direct(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
-    """im2col lowering: quantize -> input_transform (im2col) -> gemm ->
-    output_transform (dequant + NHWC restore)."""
+    """im2col lowering: quantize (+128, padded, u8) -> input_transform
+    (u8 im2col) -> gemm -> output_transform (dequant into the NHWC-backed
+    output)."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, params=params)
+    b, c, h, w = images.shape
+    p, r = layer.padding, layer.filters_fp32.shape[2]
+    xq = native.quantize_pad_u8(
+        images, params.scale, params.qmin, params.qmax, p,
+        out=call.buf("xq", (b, c, h + 2 * p, w + 2 * p), np.uint8),
+    )
     call.lap("quantize")
-    cols, oh, ow = _im2col(call, layer, x, images)
+    oh, ow = conv_output_shape(h, w, r, stride=layer.stride, padding=p)
+    cols = call.buf("cols", (1, b * oh * ow, native.padded_k(c * r * r)), np.uint8)
+    native.im2col_u8(xq, r, layer.stride, out=cols[0])
     call.lap("input_transform")
-    z = _gemm(call, cols, plan.operands["w_f64"].T)
+    z = _int_gemm(call, plan, cols)[0]  # init = -128 * sum(w)
     call.lap("gemm")
-    denom = params.scale * layer.weight_params.scale.reshape(1, z.shape[1])
-    out = _nhwc_restore(_wrap_divide(call, plan, z, denom), images.shape[0], oh, ow)
+    k = z.shape[1]
+    # Dequantize straight into the fresh output, preserving the
+    # reference's NHWC-backed memory order (see _nhwc_restore).
+    out = np.empty((b, oh, ow, k), dtype=np.float64)
+    np.divide(z, params.scale * layer.weight_params.scale.reshape(1, k), out=out.reshape(z.shape))
     call.lap("output_transform")
-    return out
+    return out.transpose(0, 3, 1, 2)
 
 
 def _fp32_winograd(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:

@@ -270,16 +270,18 @@ class CompiledProgram:
         tr = tracer if tracer is not None and tracer.enabled else None
         for step in self.steps:
             args = [values[i] for i in step.in_slots]
-            t0 = time.perf_counter() if timings is not None else 0.0
-            if tr is not None:
-                with tr.step(step.path):
-                    values[step.out_slot] = _execute_step(step, args, engine, tr)
-            else:
-                values[step.out_slot] = _execute_step(step, args, engine)
-            if timings is not None:
-                timings[step.path] = timings.get(step.path, 0.0) + (
-                    time.perf_counter() - t0
-                )
+            # The step's own timing wraps its body only: the tracer's
+            # path bookkeeping stays outside, so its laps can tile it.
+            prev = tr.set_path(step.path) if tr is not None else None
+            try:
+                t0 = time.perf_counter() if timings is not None else 0.0
+                values[step.out_slot] = _execute_step(step, args, engine, tr)
+                if timings is not None:
+                    t1 = time.perf_counter()
+                    timings[step.path] = timings.get(step.path, 0.0) + (t1 - t0)
+            finally:
+                if tr is not None:
+                    tr.set_path(prev)
             for i in step.in_slots:
                 remaining[i] -= 1
                 if remaining[i] == 0:

@@ -1,43 +1,24 @@
 """Vectorized execution of prepared convolution plans.
 
-The online path of every algorithm is expressed as whole-tensor NumPy
-ops over *all* tiles at once -- the tile gather as one strided copy into
-the GEMM layout, each 2D transform as two whole-layer BLAS GEMMs in
-that layout, the batched GEMM as one broadcast ``np.matmul``, tile
-assembly as one strided copy -- with no per-tile or per-task Python
-loop anywhere.  The loop-based implementations stay available as
-``*_reference`` (:meth:`repro.core.LoWinoConv2d.reference_forward`,
+The online path of every algorithm is expressed as whole-tensor
+operations over *all* tiles at once -- the tile gather as one strided
+copy into the GEMM layout, each 2D transform as two whole-layer BLAS
+GEMMs in that layout, the batched GEMM as one call, tile assembly as
+one strided copy -- with no per-tile or per-task Python loop anywhere.
+The loop-based implementations stay available as ``*_reference``
+(:meth:`repro.core.LoWinoConv2d.reference_forward`,
 :func:`repro.gemm.batched_gemm_reference`) for differential testing.
 
 All six algorithms -- the four quantized pipelines and the two FP32
 baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
 the engine builds the call's tile grid, leases a scratch arena from its
-own pool, and runs the algorithm's pipeline, whose GEMM is one serial
-``np.matmul``.  Every pipeline is bitwise identical to its reference
-layer (see the bit-identity notes in :mod:`repro.runtime.backends`).
-
-Exactness contract
-------------------
-The integer GEMMs run through float64 BLAS instead of NumPy's integer
-``einsum`` loops.  This is *exact*, not approximate: both operands are
-small integers, so every product (< 2**16) and every partial sum
-(< 2**53 for any channel count below ~10**8) is an integer that float64
-represents without rounding, regardless of BLAS's summation order.  The
-engine therefore produces bit-for-bit the accumulators of the reference
-integer paths, and the equivalence tests assert exactly that.  Where
-the reference materializes narrow integers (int8 codes, the upcast
-path's int16 operands, wrapped int32 accumulators), the fused kernels
-carry the same values in float64 whenever the plan-time bounds
-(:func:`repro.runtime.plan._plan_meta`) prove the round-trip is the
-identity -- and fall back to the reference's runtime checks and
-wrapping casts when they cannot.
-
-All float-domain stages perform the very same operations as the
-reference layers, in the same order -- quantization and dequantization
-elementwise, the FP32 transforms as the same two dot products per
-element (in GEMMs of another shape, see
-:func:`repro.winograd.gemm_layout_transform`) -- so the float outputs
-match bitwise as well.
+own pool, and runs the algorithm's pipeline.  The quantized pipelines
+run their integer GEMM in the compiled kernels of :mod:`repro.native`
+(``vpdpbusd`` / ``vpdpwssd`` where the CPU has AVX-512 VNNI), whose s32
+sums wrap exactly as the reference layers' int32 casts do; the FP32
+pipelines run one serial ``np.matmul``.  Every pipeline is bitwise
+identical to its reference layer (see the bit-identity notes in
+:mod:`repro.runtime.backends`).
 """
 
 from __future__ import annotations
@@ -125,32 +106,33 @@ class ExecutionEngine:
     ) -> np.ndarray:
         """Run one plan; ``bias``/``relu`` fuse the compiled graph's
         epilogue into the kernel (in place on the fresh output, bitwise
-        ``np.maximum(y + bias, 0.0)``)."""
+        ``np.maximum(y + bias, 0.0)``).
+
+        The lap clock starts here, so the call's set-up (tile grid,
+        scratch lease) lands in its first lap; the lease goes back
+        before the epilogue, which only touches the fresh output.
+        """
+        tr = self._active_tracer()
+        t0 = time.perf_counter() if tr else 0.0
         if plan.algorithm not in FUSED_ALGORITHMS:
             raise ValueError(f"engine cannot execute algorithm {plan.algorithm!r}")
-        return self._run_fused(plan, images, bias, relu)
-
-    def _run_fused(
-        self,
-        plan: ConvPlan,
-        images: np.ndarray,
-        bias: Optional[np.ndarray],
-        relu: bool,
-    ) -> np.ndarray:
-        tr = self._active_tracer()
         images = np.asarray(images, dtype=np.float64)
-        t0 = time.perf_counter() if tr else 0.0
-        alg = getattr(plan.layer, "alg", None)
-        p = plan.layer.padding
+        layer = plan.layer
+        if images.ndim != 4 or images.shape[1] != layer.filters_fp32.shape[1]:
+            raise ValueError(
+                f"input {images.shape} does not match filters {layer.filters_fp32.shape}"
+            )
+        alg = getattr(layer, "alg", None)
+        p = layer.padding
         h, w = images.shape[2] + 2 * p, images.shape[3] + 2 * p
         grid = tile_grid(alg, h, w) if alg is not None else None
         arena = self.scratch.acquire()
         try:
             call = FusedCall(arena, tr, t0)
             out = PIPELINES[plan.algorithm](call, plan, images, grid)
-            return epilogue(call, out, bias, relu)
         finally:
             self.scratch.release(arena)
+        return epilogue(call, out, bias, relu)
 
 
 class RuntimeLayer:

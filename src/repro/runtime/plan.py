@@ -1,11 +1,13 @@
 """Execution plans: prepared, cache-resident convolution state.
 
 A plan is everything LoWino prepares *offline* (Section 4.2): the
-Cook-Toom transform matrices, the transformed + quantized + packed
-filters, the Eq. 9 compensation term, the blocking decision -- plus the
-engine-side float64 operand casts.  Building a plan is the expensive
-part of a convolution call; executing one is a handful of whole-tensor
-NumPy ops (:mod:`repro.runtime.engine`).
+Cook-Toom transform matrices, the transformed + quantized filters, the
+Eq. 9 compensation term -- plus the engine-side operands: the integer
+filters packed for the native GEMM kernels (:mod:`repro.native`) with
+their compensation as the accumulators' start value.  Building a plan
+is the expensive part of a convolution call; executing one is a
+handful of whole-tensor NumPy ops and native kernel calls
+(:mod:`repro.runtime.engine`).
 
 Plans are keyed by :func:`plan_key` -- ``(algorithm, filter
 fingerprint, m, padding, bits, extra kwargs)`` -- and stored in the
@@ -185,12 +187,13 @@ class ConvPlan:
     algorithm: str
     #: The prepared reference layer object (offline state lives here).
     layer: Any
-    #: Engine-side operands (float64 casts of the quantized filters,
-    #: pre-reshaped filter matrices, ...), by name.
+    #: Engine-side operands (packed integer filters and their
+    #: compensation, the FP32 filter matrices, ...), by name; see
+    #: :func:`_engine_operands`.
     operands: Dict[str, np.ndarray] = field(default_factory=dict)
     #: Plan-time analytic facts the fused kernels exploit (see
-    #: :func:`_plan_meta`): integer range bounds that let the online
-    #: path skip runtime overflow reductions and int round-trips.
+    #: :func:`_plan_meta`): the integer range bound that lets the upcast
+    #: path skip its runtime overflow reduction.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -278,43 +281,40 @@ def _build_layer(
     raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
 
 
-#: Largest input-channel count for which the LoWino u8 x s8 GEMM is exact
-#: in float32: every partial sum is bounded by C * 255 * 128, which must
-#: stay at or below 2**24 (the largest contiguous integer range of f32).
-LOWINO_F32_MAX_C = (1 << 24) // (255 * 128)
-
-
 def _engine_operands(algorithm: str, layer: Any) -> Dict[str, np.ndarray]:
-    """Float casts of the integer operands for the BLAS-backed GEMM.
+    """The operands the pipelines read besides the layer's own state.
 
-    The vectorized engine contracts 8/16-bit operands through float
-    ``np.matmul`` (BLAS) -- exact for integer values because every
-    product and partial sum stays below the float's contiguous-integer
-    range -- so the casts are hoisted into the plan instead of being
-    paid per call.  The LoWino GEMM additionally drops to float32
-    (double the SIMD width, half the memory traffic) whenever the
-    channel count keeps its partial sums under 2**24; wider layers fall
-    back to the float64 operands, which are exact up to 2**53.
+    The quantized pipelines run their GEMM in
+    :mod:`repro.native`: ``b_packed`` is the integer filter operand
+    packed once for the kernels (:func:`repro.native.pack_b`) and
+    ``init`` the ``(T, K)`` s32 start value of every accumulator -- the
+    Eq. 9 compensation ``-128 * sum_C U`` wherever the activations carry
+    the +128 bias (``lowino``'s ``zbar``, ``int8_downscale``,
+    ``int8_direct``), zero for the signed ``int8_upcast`` operands.  The
+    spatial Winograd pipelines also read ``bt_f64``, the integer input
+    transform as float64 (exact on the integer codes).
     """
+    from ..gemm import compensation_term
+    from ..native import pack_b
+
     ops: Dict[str, np.ndarray] = {}
     if algorithm == "lowino":
-        if layer.filters_fp32.shape[1] <= LOWINO_F32_MAX_C:
-            ops["u_f32"] = layer.u_q.astype(np.float32)
-            ops["zbar_f32"] = layer.zbar.astype(np.float32)
-        else:
-            ops["u_f64"] = layer.u_q.astype(np.float64)
-            ops["zbar_f64"] = layer.zbar.astype(np.float64)
+        ops["b_packed"] = pack_b(layer.u_q)
+        ops["init"] = layer.zbar
     elif algorithm == "int8_upcast":
-        ops["u_f64"] = layer.u_int16.astype(np.float64)
+        ops["b_packed"] = pack_b(layer.u_int16)
+        ops["init"] = np.zeros(layer.u_int16.shape[::2], dtype=np.int32)
         ops["bt_f64"] = layer.bt_int.astype(np.float64)
     elif algorithm == "int8_downscale":
-        ops["u_f64"] = layer.u_int8.astype(np.float64)
+        ops["b_packed"] = pack_b(layer.u_int8)
+        ops["init"] = compensation_term(layer.u_int8)
         ops["bt_f64"] = layer.bt_int.astype(np.float64)
     elif algorithm == "int8_direct":
-        k = layer.filters_q.shape[0]
-        ops["w_f64"] = np.ascontiguousarray(
-            layer.filters_q.reshape(k, -1).astype(np.float64)
-        )
+        if layer.filters_q.dtype != np.int8:
+            raise ValueError(f"int8_direct runs a u8 x s8 GEMM; bits={layer.bits} exceeds 8")
+        w = layer.filters_q.reshape(layer.filters_q.shape[0], -1).T[None]  # (1, C*r*r, K)
+        ops["b_packed"] = pack_b(w)
+        ops["init"] = compensation_term(w)
     elif algorithm == "fp32_winograd":
         # Already float64 and contiguous on the layer; shared (not cast)
         # so the fused GEMM contracts the exact bytes the reference does.
@@ -334,47 +334,17 @@ def _abs_colsum_max(matrix: np.ndarray, axis: int) -> int:
 def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
     """Plan-time analytic facts for the fused pipelines.
 
-    All quantized operands are known at plan time, so worst-case
-    magnitudes of the online intermediates follow from Hölder's
-    inequality (``|Av| <= max_row sum|A| * max|v|``):
-
-    - ``v_bound``: elementwise bound on the integer input transform
-      ``B^T d B`` where ``|d| <= 2**(bits-1)``.  When it stays within
-      INT16 (``v16_ok``), the upcast path can skip the per-call
-      ``np.abs(v).max()`` overflow reduction *and* the int16
-      materialization -- the float64 values are already exact.
-    - ``z_bound``: bound on any GEMM accumulator, from the max
-      channel-wise absolute column sum of the quantized filter operand.
-      When it stays within INT32 (``z_wrap_free``), the reference's
-      wrap-on-overflow ``astype(np.int32)`` is the identity and the
-      fused pipelines divide the float64 accumulators directly.
-
-    LoWino and the FP32 baselines need no bound (their meta is empty).
+    Only ``int8_upcast`` has one.  Its quantized input ``|d| <= 2**(bits-1)``
+    bounds the integer input transform ``B^T d B`` by Hölder's inequality
+    (``|Av| <= max_row sum|A| * max|v|``): ``v_bound``.  When that stays
+    within INT16 (``v16_ok``) the pipeline skips the reference's per-call
+    ``np.abs(v).max()`` overflow reduction.
     """
-    meta: Dict[str, Any] = {}
-    int16_max = int(np.iinfo(np.int16).max)
-    int32_max = int(np.iinfo(np.int32).max)
-    qabs = 1 << (getattr(layer, "bits", 8) - 1)
-    if algorithm in ("int8_upcast", "int8_downscale"):
-        row = _abs_colsum_max(layer.bt_int, axis=1)
-        meta["v_bound"] = qabs * row * row
-        if algorithm == "int8_upcast":
-            meta["v16_ok"] = meta["v_bound"] <= int16_max
-            # (T, C, K) int16 filters: |z[t,n,k]| <= max|v| * sum_c |u[t,c,k]|.
-            # Calls that survive the INT16 guard have |v| <= int16_max.
-            u_col = _abs_colsum_max(layer.u_int16, axis=1)
-            meta["z_bound"] = min(meta["v_bound"], int16_max) * u_col
-        else:
-            # Downscaled inputs are saturated to int8: |v8| <= 2**7.
-            u_col = _abs_colsum_max(layer.u_int8, axis=1)
-            meta["z_bound"] = 128 * u_col
-        meta["z_wrap_free"] = meta["z_bound"] <= int32_max
-    elif algorithm == "int8_direct":
-        k = layer.filters_q.shape[0]
-        w_col = _abs_colsum_max(layer.filters_q.reshape(k, -1), axis=1)
-        meta["z_bound"] = qabs * w_col
-        meta["z_wrap_free"] = meta["z_bound"] <= int32_max
-    return meta
+    if algorithm != "int8_upcast":
+        return {}
+    row = _abs_colsum_max(layer.bt_int, axis=1)
+    v_bound = (1 << (layer.bits - 1)) * row * row
+    return {"v_bound": v_bound, "v16_ok": v_bound <= int(np.iinfo(np.int16).max)}
 
 
 def build_plan(

@@ -46,27 +46,46 @@ class ServerOverloaded(RuntimeError):
 
 
 class InferenceFuture:
-    """Completion handle for one submitted request."""
+    """Completion handle for one submitted request.
+
+    The latch is a lock held from creation until the request completes:
+    a few dozen bytes, where a ``threading.Event`` (a Condition, its lock
+    and a waiter deque) costs over a kilobyte -- and callers may keep
+    every completed future.  A request is completed once, by the thread
+    that ran or rejected it.
+    """
+
+    __slots__ = ("_latch", "_done", "_result", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._done = False
         self._result: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
+
+    def _complete(self) -> None:
+        if not self._done:
+            self._done = True
+            self._latch.release()
 
     def set_result(self, value: np.ndarray) -> None:
         self._result = value
-        self._event.set()
+        self._complete()
 
     def set_exception(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._complete()
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if not self._event.wait(timeout):
-            raise TimeoutError("inference request did not complete in time")
+        if not self._done:
+            wait = -1 if timeout is None else max(timeout, 0.0)
+            if not self._latch.acquire(timeout=wait):
+                raise TimeoutError("inference request did not complete in time")
+            self._latch.release()  # let other waiters through
         if self._error is not None:
             raise self._error
         return self._result

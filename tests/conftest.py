@@ -27,6 +27,13 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_report_header(config):
+    """Name the native kernel variant this run exercises."""
+    from repro import native
+
+    return f"repro.native: {native.VARIANT} (supported: {', '.join(native.VARIANTS)})"
+
+
 @pytest.fixture(scope="session")
 def session_rng() -> np.random.Generator:
     """One seeded generator shared by the whole session."""

@@ -1,9 +1,9 @@
 """Runtime engine vs reference layers: bit-for-bit over the edge grid.
 
 The vectorized engine replaces per-tile / per-task Python loops with
-whole-tensor BLAS calls; its contract is *exact* agreement with the
-reference implementations (transform batching and the float-GEMM trick
-are bitwise-stable, see DESIGN.md).  This suite pins that contract over
+whole-tensor BLAS calls and native integer GEMMs; its contract is
+*exact* agreement with the reference implementations (transform batching
+and the wrapping integer GEMM are bitwise-stable, see DESIGN.md).  This suite pins that contract over
 the same edge-geometry grid the PR 1 conformance harness sweeps: 1x1
 outputs, sub-tile outputs, odd padded shapes, unit channels, and plain
 interior shapes, for every algorithm and both tile sizes.
@@ -55,15 +55,13 @@ def test_scratch_reuse_is_bitwise_stable(engine, algorithm):
     np.testing.assert_array_equal(layer(x), first)
 
 
-def test_lowino_f64_fallback_matches_reference(engine):
-    """Layers wider than the f32 exactness bound use the f64 GEMM and
-    still agree bitwise with the loop reference."""
-    from repro.runtime.plan import LOWINO_F32_MAX_C
-
-    c = LOWINO_F32_MAX_C + 2
+def test_lowino_wide_layer_matches_reference(engine):
+    """516 input channels: per-output sums reach C * 255 * 128 > 2**24, past
+    what a float32 GEMM would carry exactly; the integer kernel still
+    agrees bitwise with the loop reference."""
+    c = 516
     rng = np.random.default_rng(7)
     x = np.maximum(rng.standard_normal((1, c, 6, 6)), 0.0)
     w = rng.standard_normal((3, c, 3, 3)) * np.sqrt(2.0 / (9 * c))
     layer = engine.layer(w, "lowino", m=2, padding=1)
-    assert "u_f64" in layer.plan.operands and "u_f32" not in layer.plan.operands
     np.testing.assert_array_equal(layer(x), layer.reference.reference_forward(x))

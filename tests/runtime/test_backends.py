@@ -1,11 +1,13 @@
 """Fused pipelines: the bitwise contract.
 
 ``repro.runtime.backends`` runs each algorithm as one pipeline composed
-from shared stage primitives, with the GEMM as one serial ``np.matmul``.
-The contract is that every pipeline produces bit-for-bit the output of
-its reference layer, on every edge geometry, with or without the
-plan-time bound shortcuts (`v16_ok` / `z_wrap_free`) engaged, and that
-every pipeline laps the stage tracer at the same boundaries.
+from shared stage primitives, the quantized GEMMs in the native integer
+kernels (``repro.native``) and the FP32 ones as one serial
+``np.matmul``.  The contract is that every pipeline produces bit-for-bit
+the output of its reference layer, on every edge geometry, with or
+without the plan-time ``v16_ok`` shortcut engaged; that every quantized
+pipeline refuses NaN activations; and that every pipeline laps the
+stage tracer at the same boundaries.
 Shared-session stress runs in ``tests/runtime/test_concurrency.py``.
 """
 
@@ -111,18 +113,20 @@ class TestModelBitIdentity:
 
 
 class TestPlanMetaBounds:
-    """The analytic plan-time bounds, and the fallback paths they gate."""
+    """The analytic plan-time bound, and the fallback path it gates."""
 
     def _upcast_layer(self, engine, rng, c=4, k=3):
         w = rng.standard_normal((k, c, 3, 3)) * 0.1
         return engine.layer(w, "int8_upcast", m=2, padding=1)
 
     def test_upcast_meta_present(self, rng):
+        """The INT16 bound is the only plan meta left: the integer GEMM
+        wraps like the reference by construction, so no INT32 bound."""
         layer = self._upcast_layer(_engine(), rng)
         meta = layer.plan.meta
+        assert set(meta) == {"v_bound", "v16_ok"}
         assert meta["v16_ok"] is True  # m=2: |B^T d B| <= 128 * 4^2 = 2048
         assert meta["v_bound"] >= 1
-        assert meta["z_wrap_free"] is True
 
     def test_v_bound_is_sound(self, rng):
         """The analytic bound dominates the runtime reduction it replaces."""
@@ -142,10 +146,10 @@ class TestPlanMetaBounds:
         v = np.einsum("ij,bcxyjk,kl->bcxyil", ref.bt_int, tiles, ref.bt_int.T)
         assert int(np.abs(v).max()) <= layer.plan.meta["v_bound"]
 
-    @pytest.mark.parametrize("flag", ["v16_ok", "z_wrap_free"])
+    @pytest.mark.parametrize("flag", ["v16_ok"])
     def test_disabled_shortcuts_stay_bitwise(self, flag, rng):
-        """Forcing the runtime fallback (abs-max check / int32 wrap cast)
-        must not change a single bit when no overflow actually occurs."""
+        """Forcing the runtime fallback (abs-max check) must not change a
+        single bit when no overflow actually occurs."""
         engine = _engine()
         layer = self._upcast_layer(engine, rng)
         x = np.maximum(rng.standard_normal((2, 4, 12, 12)), 0)
@@ -173,11 +177,63 @@ class TestPlanMetaBounds:
             np.testing.assert_array_equal(layer(x), expected)
 
     def test_direct_meta(self, rng):
+        """No plan meta; the packed s8 filter carries the Eq. 9
+        compensation of the +128-biased u8 activations as ``init``."""
         engine = _engine()
         layer = engine.layer(rng.standard_normal((3, 4, 3, 3)) * 0.1,
                              "int8_direct", m=0, padding=1)
-        meta = layer.plan.meta
-        assert meta["z_wrap_free"] is True and meta["z_bound"] >= 1
+        assert layer.plan.meta == {}
+        w = layer.filters_q.reshape(3, -1).astype(np.int64)
+        np.testing.assert_array_equal(layer.plan.operands["init"], [-128 * w.sum(axis=1)])
+        assert layer.plan.operands["b_packed"].dtype == np.int8
+
+
+class TestNaNActivations:
+    """An integer code cannot carry NaN: every quantized pipeline raises,
+    while +-inf saturate like the reference's clip."""
+
+    def _calibrated_layer(self, algorithm, rng):
+        w = rng.standard_normal((4, 3, 3, 3)) * 0.1
+        kwargs = {} if algorithm == "lowino" else {"input_threshold": 2.0}
+        layer = _engine().layer(w, algorithm, m=2, padding=1, **kwargs)
+        if algorithm == "lowino":
+            layer.calibrate([rng.standard_normal((2, 3, 8, 8))])
+        return layer
+
+    @pytest.mark.parametrize("algorithm", QUANTIZED_ALGORITHMS)
+    def test_engine_raises_on_nan(self, algorithm, rng):
+        layer = self._calibrated_layer(algorithm, rng)
+        x = rng.standard_normal((2, 3, 8, 8))
+        x[1, 2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            layer(x)
+
+    @pytest.mark.parametrize("algorithm", ["int8_upcast", "int8_downscale", "int8_direct"])
+    def test_infinities_saturate_like_reference(self, algorithm, rng):
+        """Spatial quantization clips +-inf.  (LoWino transforms first, and
+        inf - inf is NaN, so an infinite input raises there.)"""
+        layer = self._calibrated_layer(algorithm, rng)
+        x = rng.standard_normal((2, 3, 8, 8))
+        x[0, 0, 2, 2], x[1, 1, 5, 6] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            expected = layer.reference(x)
+            got = layer(x)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("algorithm", QUANTIZED_ALGORITHMS)
+    def test_session_raises_on_nan(self, algorithm, rng):
+        model = Sequential([
+            Conv2d(rng.standard_normal((4, 3, 3, 3)) * 0.1, padding=1, name="c"),
+            ReLU(),
+        ])
+        calib = np.maximum(rng.standard_normal((2, 3, 8, 8)), 0)
+        quantize_model(model, algorithm, m=2, calibration_batches=[calib])
+        x = rng.standard_normal((2, 3, 8, 8))
+        x[0, 1, 0, 0] = np.nan
+        session = InferenceSession(model, x.shape)
+        with pytest.raises(ValueError, match="NaN"):
+            session.run(x)
+
 
 class _LapRecorder:
     """Tracer stand-in that records the stage name of every lap."""

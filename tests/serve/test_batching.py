@@ -35,6 +35,23 @@ class TestInferenceFuture:
         with pytest.raises(ValueError, match="bad request"):
             fut.result()
 
+    def test_every_waiter_wakes(self):
+        """Waiters blocked in result() all see the value set by another
+        thread: each passes the latch on to the next."""
+        fut = InferenceFuture()
+        got = []
+        waiters = [threading.Thread(target=lambda: got.append(fut.result(timeout=10)))
+                   for _ in range(4)]
+        for t in waiters:
+            t.start()
+        time.sleep(0.02)
+        threading.Thread(target=fut.set_result, args=(np.arange(3),)).start()
+        for t in waiters:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(got) == 4 and all(np.array_equal(g, np.arange(3)) for g in got)
+        assert fut.result(timeout=0) is got[0]
+
 
 class TestRequestQueue:
     def test_bound_validation(self):
