@@ -1,9 +1,14 @@
-"""The compiled integer kernels of the quantized pipelines.
+"""The compiled kernels of the fused convolution pipelines.
 
-:mod:`repro.runtime.backends` runs every quantized GEMM here, and the
-``int8_direct`` pipeline also builds its u8 operand here
-(``kernels.c`` documents the kernels, the packed layouts and why each
-result is the exact integer sum reduced modulo 2**32).
+:mod:`repro.runtime.backends` runs every quantized GEMM here, the
+``int8_direct`` pipeline builds its u8 operand here, and the four
+Winograd pipelines run both transform passes here: the input pass
+gathers tiles straight from the image and writes ``B^T d B`` as the
+GEMM operand (float64, u8 codes or s16), the output pass dequantizes,
+applies ``A^T Z A`` and assembles the output.  ``kernels.c`` documents
+the kernels, the packed layouts, why each integer result is the exact
+sum reduced modulo 2**32, and why each transform is bitwise
+:func:`repro.winograd.transform_2d`.
 
 The source is compiled once per machine with the system ``cc`` into
 ``${XDG_CACHE_HOME:-~/.cache}/repro/native/``, keyed by the SHA-256 of
@@ -14,7 +19,8 @@ command and the compiler's stderr.
 
 ``VARIANT`` names the kernel variant this process runs -- the first of
 ``VARIANTS``, the variants this CPU supports, best first
-(``avx512_vnni``, ``avx2``, ``c``).  Nothing selects another one.
+(``avx512_vnni``, ``avx2`` where the CPU also has FMA, ``c``).  Its
+GEMMs and transform passes come as one set; nothing selects another.
 """
 
 from __future__ import annotations
@@ -39,10 +45,14 @@ __all__ = [
     "pack_b",
     "padded_k",
     "quantize_pad_u8",
+    "winograd_input",
+    "winograd_output",
 ]
 
 SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: Linked after the source: the portable transforms call ``fma()``.
+LIBS = ("-lm",)
 #: Output columns per packed block (one 512-bit register of s32 lanes).
 LANES = 16
 
@@ -63,7 +73,8 @@ def build(source: Path = SOURCE) -> Path:
     """Compile ``source`` into the cache (once) and return the library path."""
     version = _run(["cc", "--version"]).stdout
     code = source.read_bytes()
-    key = hashlib.sha256(code + "\0".join(FLAGS).encode() + version.encode()).hexdigest()
+    flags = "\0".join(FLAGS + LIBS).encode()
+    key = hashlib.sha256(code + flags + version.encode()).hexdigest()
     cache = _cache_dir()
     lib = cache / f"kernels-{key[:24]}.so"
     if lib.exists():
@@ -74,7 +85,7 @@ def build(source: Path = SOURCE) -> Path:
         if lib.exists():  # another process built it while we waited
             return lib
         tmp = cache / f"kernels-{key[:24]}.{os.getpid()}.tmp"
-        cmd = ["cc", *FLAGS, "-o", str(tmp), str(source)]
+        cmd = ["cc", *FLAGS, "-o", str(tmp), str(source), *LIBS]
         proc = _run(cmd)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
@@ -106,6 +117,15 @@ def _load(path: Path) -> ctypes.CDLL:
     ]
     lib.repro_im2col_u8.restype = None
     lib.repro_im2col_u8.argtypes = [_P, _I, _I, _I, _I, _I, _I, _P, _I]
+    _D = ctypes.c_double
+    for variant in ("avx512_vnni", "avx2", "c"):
+        fn = getattr(lib, f"repro_winograd_in_{variant}", None)
+        if fn is not None:
+            fn.restype = None
+            fn.argtypes = [_P, *[_I] * 11, _P, _I, _P, _I, _P, _D, _D, _P]
+            fn = getattr(lib, f"repro_winograd_out_{variant}")
+            fn.restype = None
+            fn.argtypes = [_P, _I, _P, _I, _I, _I, _I, _I, _I, _P, _P]
     return lib
 
 
@@ -155,7 +175,7 @@ def _gemm(fn, a: np.ndarray, b: np.ndarray, init: np.ndarray, out: np.ndarray) -
 
 
 def _bind(variant: str) -> SimpleNamespace:
-    """The two GEMMs of ``variant`` (one of :data:`VARIANTS`)."""
+    """The GEMMs and transform passes of ``variant`` (one of :data:`VARIANTS`)."""
     u8s8 = getattr(LIB, f"repro_gemm_u8s8_{variant}")
     s16s16 = getattr(LIB, f"repro_gemm_s16s16_{variant}")
 
@@ -173,12 +193,102 @@ def _bind(variant: str) -> SimpleNamespace:
             raise ValueError(f"gemm_s16s16 takes int16 x int16, got {a.dtype} x {b.dtype}")
         return _gemm(s16s16, a, b, init, out)
 
-    return SimpleNamespace(gemm_u8s8=gemm_u8s8, gemm_s16s16=gemm_s16s16)
+    wt_in = getattr(LIB, f"repro_winograd_in_{variant}")
+    wt_out = getattr(LIB, f"repro_winograd_out_{variant}")
+
+    def winograd_input(x, bt, m, pad, out, scale=None, lo=-128, hi=127):
+        """``B^T d B`` of every tile of the float64 NCHW ``x``, zero-padded
+        by ``pad`` and out to the tile grid, into the GEMM operand ``out``:
+        float64 ``(T, N, C)``, or ``(T, N, Cp)`` u8 codes
+        ``clip(rint(V * scale[t]), lo, hi) + 128`` or int16 (exact), with
+        ``N = B * tiles_h * tiles_w`` rows in (image, tile row, tile)
+        order.  Bitwise :func:`repro.winograd.transform_2d` per tile.
+
+        Raises :class:`ValueError` when a u8 or s16 code would be NaN,
+        and :class:`OverflowError` when an s16 value exceeds 32767 in
+        magnitude -- the reference's INT16 check.
+        """
+        return _input_pass(wt_in, x, bt, m, pad, out, scale, lo, hi)
+
+    def winograd_output(z, at, out, denom=None):
+        """``A^T Z A`` of every tile of the ``(T, N, K)`` accumulators
+        ``z`` into the C-contiguous ``(B, K, oh, ow)`` float64 ``out``,
+        the tile grid's overhang cropped.  int32 ``z`` is dequantized
+        first as ``z / denom`` with the float64 ``(T, K)`` ``denom``.
+        Bitwise :func:`repro.winograd.transform_2d` per tile."""
+        return _output_pass(wt_out, z, at, out, denom)
+
+    return SimpleNamespace(gemm_u8s8=gemm_u8s8, gemm_s16s16=gemm_s16s16,
+                           winograd_input=winograd_input, winograd_output=winograd_output)
+
+
+#: Largest tile (alpha) the transform passes take -- ``MAX_ALPHA`` in
+#: ``kernels.c``, which sizes their stack blocks; the Cook-Toom
+#: constructions of :mod:`repro.winograd` stop at 16 points.
+MAX_ALPHA = 16
+_OPERANDS = {np.dtype(np.float64): 0, np.dtype(np.uint8): 1, np.dtype(np.int16): 2}
+
+
+def _tiles(size: int, pad: int, r: int, m: int) -> int:
+    """Tiles along one axis of a padded input (``tile_grid``'s count)."""
+    return -(-(size + 2 * pad - r + 1) // m)
+
+
+def _input_pass(fn, x, bt, m, pad, out, scale, lo, hi):
+    b, c, h, w = x.shape
+    a = bt.shape[0]
+    mode = _OPERANDS.get(out.dtype)
+    r = a - m + 1
+    if (x.dtype != np.float64 or bt.shape != (a, a) or bt.dtype != np.float64
+            or not bt.flags.c_contiguous or mode is None or not out.flags.c_contiguous
+            or not 1 <= m <= a <= MAX_ALPHA or pad < 0 or min(h, w) + 2 * pad < r
+            or any(s % 8 for s in x.strides)):
+        raise ValueError(f"winograd_input: x {x.dtype}{x.shape} bt {bt.shape} m={m} "
+                         f"pad={pad} out {out.dtype}{out.shape}")
+    n = b * _tiles(h, pad, r, m) * _tiles(w, pad, r, m)
+    if out.shape[:2] != (a * a, n) or out.shape[2] < c or (mode == 0 and out.shape[2] != c):
+        raise ValueError(f"winograd_input: out {out.shape} is not ({a * a}, {n}, {c})")
+    if mode == 1:
+        scale = np.ascontiguousarray(np.broadcast_to(np.asarray(scale, np.float64).ravel(),
+                                                     (a * a,)))
+        if not -128 <= lo <= hi <= 127:
+            raise ValueError(f"winograd_input: u8 codes need -128 <= lo <= hi <= 127, "
+                             f"got {lo}..{hi}")
+    counts = np.zeros(2, dtype=np.int64)
+    fn(x.ctypes.data, b, c, h, w, *[s // 8 for s in x.strides], pad, m, a,
+       bt.ctypes.data, mode, out.ctypes.data, out.shape[2],
+       None if mode != 1 else scale.ctypes.data, float(lo), float(hi), counts.ctypes.data)
+    if counts[0]:
+        raise ValueError(f"{counts[0]} NaN activation(s) reached a quantized convolution")
+    if counts[1]:
+        raise OverflowError(f"transformed inputs overflow INT16 ({counts[1]} above 32767)")
+    return out
+
+
+def _output_pass(fn, z, at, out, denom):
+    m, a = at.shape
+    t, n, k = z.shape
+    b, k2, oh, ow = out.shape
+    s32 = z.dtype == np.int32
+    if (at.dtype != np.float64 or not at.flags.c_contiguous or not 1 <= m <= a <= MAX_ALPHA
+            or t != a * a or k2 != k or n != b * -(-oh // m) * -(-ow // m)
+            or z.dtype not in (np.int32, np.float64) or out.dtype != np.float64
+            or not (z.flags.c_contiguous and out.flags.c_contiguous)
+            or s32 != (denom is not None)
+            or (s32 and (denom.dtype != np.float64 or denom.shape != (t, k)
+                         or not denom.flags.c_contiguous))):
+        raise ValueError(f"winograd_output: z {z.dtype}{z.shape} at {at.shape} "
+                         f"out {out.dtype}{out.shape}")
+    fn(z.ctypes.data, int(s32), None if denom is None else denom.ctypes.data,
+       b, k, oh, ow, m, a, at.ctypes.data, out.ctypes.data)
+    return out
 
 
 _kernels = _bind(VARIANT)
 gemm_u8s8 = _kernels.gemm_u8s8
 gemm_s16s16 = _kernels.gemm_s16s16
+winograd_input = _kernels.winograd_input
+winograd_output = _kernels.winograd_output
 
 
 def quantize_pad_u8(x: np.ndarray, scale: float, lo: int, hi: int, pad: int,

@@ -1,14 +1,17 @@
-/* Integer kernels of the quantized convolution pipelines.
+/* Native kernels of the fused convolution pipelines.
  *
  * The paper's speed comes from vpdpbusd: u8 x s8 -> s32, four products
- * per 32-bit lane (Sections 4.2.1 and 4.3).  This file holds the GEMMs
- * that feed it and the two passes that build the direct algorithm's u8
- * operand:
+ * per 32-bit lane (Sections 4.2.1 and 4.3), fed and drained by fused
+ * transform passes (Section 4, Figure 3).  This file holds the GEMMs,
+ * the two passes that build the direct algorithm's u8 operand, and the
+ * two Winograd transform passes (documented at their section below):
  *
  *   gemm_u8s8     C[t] = init[t] + A[t] . B[t]   u8 x s8 -> s32
  *   gemm_s16s16   C[t] = init[t] + A[t] . B[t]   s16 x s16 -> s32
  *   quantize_pad_u8   clip(rint(x * scale)) + 128 into a 128 border
  *   im2col_u8         (M, Kp) rows in (C, r, r) column order
+ *   winograd_in       gather + B^T d B (+ quantize) into the GEMM operand
+ *   winograd_out      (dequantize +) A^T Z A + assembly into the output
  *
  * Operands.  A is row-major (T, M, Kp), Kp a multiple of 4; its bytes
  * past the true reduction length K are never read into a sum that
@@ -26,12 +29,13 @@
  * integer result reduced modulo 2^32 -- what the reference layers'
  * int32 casts compute -- independent of summation order.
  *
- * Variants.  avx512_vnni (vpdpbusd / vpdpwssd), avx2 (vpmaddwd on
- * operands widened to s16 -- never the saturating vpmaddubsw) and
- * portable C.  Each is an exported symbol; repro_native_variants()
- * lists the ones this CPU runs, best first, and the loader binds the
- * first.  The file builds without -march flags: the SIMD variants carry
- * target attributes, and non-x86 builds compile only the portable C.
+ * Variants.  avx512_vnni (vpdpbusd / vpdpwssd; 8-lane zmm fma in the
+ * transforms), avx2 (vpmaddwd on operands widened to s16 -- never the
+ * saturating vpmaddubsw; 4-lane ymm fma) and portable C (fma()).  Each
+ * is a set of exported symbols; repro_native_variants() lists the ones
+ * this CPU runs, best first, and the loader binds the first.  The file
+ * builds without -march flags: the SIMD variants carry target
+ * attributes, and non-x86 builds compile only the portable C.
  */
 
 #include <stdint.h>
@@ -335,7 +339,7 @@ AVX2 void repro_gemm_s16s16_avx2(const int16_t *a, const int16_t *b, const int32
 const char *repro_native_variants(void) {
 #ifdef REPRO_X86
     __builtin_cpu_init();
-    int avx2 = __builtin_cpu_supports("avx2");
+    int avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     if (avx2 && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vnni"))
         return "avx512_vnni,avx2,c";
     if (avx2)
@@ -438,3 +442,437 @@ void repro_im2col_u8(const uint8_t *x, int64_t b, int64_t ch, int64_t hp, int64_
                 memset(row + k, 0, (size_t)(kp - k));
             }
 }
+
+/* -- Winograd transform passes ------------------------------------------- *
+ *
+ *   winograd_in    gather + B^T d B (+ quantize) into the (T, N, C) operand
+ *   winograd_out   (dequantize +) A^T Z A + assembly into (B, K, oh, ow)
+ *
+ * Arithmetic.  Both 2D transforms are mat . tile . mat^T, computed per
+ * element as the two fma chains that OpenBLAS's dgemm computes for
+ * repro.winograd.transform_2d (tile @ mat.T, then mat @ half):
+ *
+ *   h[i][p] = fma chain over j of mat[p][j] * d[i][j], from +0
+ *   v[q][p] = fma chain over i of mat[q][i] * h[i][p], from +0
+ *
+ * in increasing j and i, zero coefficients included (skipping them is
+ * exact only for finite data: 0 * inf is NaN).  A correctly rounded fma
+ * gives the same bits in every variant.  That these are BLAS's sums is
+ * a property of the host's BLAS (OpenBLAS's FMA dgemm kernels sum so);
+ * tests/native/test_transforms.py checks it against transform_2d.
+ * Dequantization is the reference's own (double) z / d and quantization
+ * is code_u8, bit for bit _round_clip; -ffp-contract=off keeps every
+ * other operation unfused.
+ *
+ * Layout.  The passes vectorize over channels: per (image, tile row,
+ * block of L channels, run of tiles) they stage the rows the tiles read
+ * (input) or write (output) channel-last in a block on the stack, lane l
+ * holding channel c0 + l, so each tile element is one L-lane vector.
+ * L is 8 for avx512_vnni and 4 for avx2 and c.  A pass keeps under
+ * 64 KB of stack and touches only its arguments, so concurrent calls
+ * are independent.  The tile transform and the u8 quantize differ
+ * between variants (zmm, ymm or scalar); the transform has unrolled
+ * copies for alpha = 4, 6 and 8 and a generic one for any other alpha.
+ */
+
+#include <math.h>
+
+#define MAX_ALPHA 16
+#define WT_LANES 8
+
+enum { ISA_C = 0, ISA_AVX2 = 1, ISA_AVX512 = 2 };
+enum { OPERAND_F64 = 0, OPERAND_U8 = 1, OPERAND_S16 = 2 };
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* v[(q * ldv + p) * L + l] = mat . d . mat^T for an (o, a) ``mat`` and
+ * the a x a tile d[i][j] at d + (i * ldd + j) * L, through ``hb``.  Each
+ * step updates all o chains of a row (stage 1) or column (stage 2), so o
+ * independent chains are in flight; each still runs in increasing j or
+ * i.  VEC, ZERO, SET1, LOAD, STORE and FMA name one variant's vector;
+ * UNROLL is empty or a full-unroll pragma. */
+#define TILE_2D_BODY(VEC, L, ZERO, SET1, LOAD, STORE, FMA, UNROLL) \
+    VEC acc[MAX_ALPHA];                                                \
+    UNROLL for (int64_t i = 0; i < a; i++) {                           \
+        UNROLL for (int64_t p = 0; p < o; p++) acc[p] = ZERO;          \
+        UNROLL for (int64_t j = 0; j < a; j++) {                       \
+            VEC dj = LOAD(d + (i * ldd + j) * L);                      \
+            UNROLL for (int64_t p = 0; p < o; p++)                     \
+                acc[p] = FMA(SET1(mat[p * a + j]), dj, acc[p]);        \
+        }                                                              \
+        UNROLL for (int64_t p = 0; p < o; p++)                         \
+            STORE(hb + (i * o + p) * L, acc[p]);                       \
+    }                                                                  \
+    UNROLL for (int64_t p = 0; p < o; p++) {                           \
+        UNROLL for (int64_t q = 0; q < o; q++) acc[q] = ZERO;          \
+        UNROLL for (int64_t i = 0; i < a; i++) {                       \
+            VEC hi = LOAD(hb + (i * o + p) * L);                       \
+            UNROLL for (int64_t q = 0; q < o; q++)                     \
+                acc[q] = FMA(SET1(mat[q * a + i]), hi, acc[q]);        \
+        }                                                              \
+        UNROLL for (int64_t q = 0; q < o; q++)                         \
+            STORE(v + (q * ldv + p) * L, acc[q]);                      \
+    }
+#define UNROLLED _Pragma("GCC unroll 16")
+#define ROLLED
+/* TILE_2D(OPS, UNROLL) with OPS a macro naming the first seven. */
+#define TILE_2D(...) TILE_2D_BODY(__VA_ARGS__)
+#define TILE_ARGS                                                                    \
+    const int64_t o, const int64_t a, const double *mat, const double *d, int64_t ldd, \
+        double *hb, double *v, int64_t ldv
+
+/* The fast (o, a) shapes -- B^T (a, a) and A^T (a - 2, a) for a = 4, 6,
+ * 8 -- run FAST with constant bounds; the others fall through. */
+#define TILE_2D_FAST_CASES(FAST)                                          \
+    switch (o * 32 + a) {                                                 \
+    case 4 * 32 + 4: FAST(4, 4, mat, d, ldd, hb, v, ldv); return;         \
+    case 6 * 32 + 6: FAST(6, 6, mat, d, ldd, hb, v, ldv); return;         \
+    case 8 * 32 + 8: FAST(8, 8, mat, d, ldd, hb, v, ldv); return;         \
+    case 2 * 32 + 4: FAST(2, 4, mat, d, ldd, hb, v, ldv); return;         \
+    case 4 * 32 + 6: FAST(4, 6, mat, d, ldd, hb, v, ldv); return;         \
+    case 6 * 32 + 8: FAST(6, 8, mat, d, ldd, hb, v, ldv); return;         \
+    }
+
+typedef struct { double x[4]; } lanes4;
+
+static inline lanes4 set1_c(double c) { return (lanes4){{c, c, c, c}}; }
+static inline lanes4 load_c(const double *p) { lanes4 r; memcpy(r.x, p, sizeof r.x); return r; }
+static inline void store_c(double *p, lanes4 v) { memcpy(p, v.x, sizeof v.x); }
+static inline lanes4 fma_c(lanes4 c, lanes4 d, lanes4 acc) {
+    for (int l = 0; l < 4; l++)
+        acc.x[l] = fma(c.x[l], d.x[l], acc.x[l]);
+    return acc;
+}
+
+static void tile_c(TILE_ARGS) {
+    TILE_2D_BODY(lanes4, 4, set1_c(0.0), set1_c, load_c, store_c, fma_c, ROLLED)
+}
+
+#ifdef REPRO_X86
+#define FMA512 __attribute__((target("avx512f,fma")))
+#define FMA512_INLINE static inline __attribute__((always_inline, target("avx512f,fma")))
+#define FMA256 __attribute__((target("avx2,fma")))
+#define FMA256_INLINE static inline __attribute__((always_inline, target("avx2,fma")))
+
+#define AVX512_OPS __m512d, 8, _mm512_setzero_pd(), _mm512_set1_pd, _mm512_loadu_pd, \
+                   _mm512_storeu_pd, _mm512_fmadd_pd
+#define AVX2_OPS __m256d, 4, _mm256_setzero_pd(), _mm256_set1_pd, _mm256_loadu_pd, \
+                 _mm256_storeu_pd, _mm256_fmadd_pd
+
+FMA512_INLINE void tile_avx512_fast(TILE_ARGS) { TILE_2D(AVX512_OPS, UNROLLED) }
+static FMA512 void tile_avx512(TILE_ARGS) {
+    TILE_2D_FAST_CASES(tile_avx512_fast)
+    TILE_2D(AVX512_OPS, ROLLED)
+}
+
+FMA256_INLINE void tile_avx2_fast(TILE_ARGS) { TILE_2D(AVX2_OPS, UNROLLED) }
+static FMA256 void tile_avx2(TILE_ARGS) {
+    TILE_2D_FAST_CASES(tile_avx2_fast)
+    TILE_2D(AVX2_OPS, ROLLED)
+}
+#endif
+
+/* clip(rint(v[e][l] * scale[e]), lo, hi) + 128 of the (elems, L) block
+ * ``v`` into ``q``, bit for bit code_u8; returns the number of NaN codes
+ * in the first ``cn`` lanes (the others are padding). */
+static int32_t quant_u8_c(const double *v, int64_t elems, int64_t cn, const double *scale,
+                          double lo, double hi, uint8_t *q) {
+    int32_t nans = 0, pad = 0;
+    for (int64_t e = 0; e < elems; e++)
+        for (int64_t l = 0; l < 4; l++)
+            q[4 * e + l] = code_u8(v[4 * e + l], scale[e], lo, hi, l < cn ? &nans : &pad);
+    return nans;
+}
+
+#ifdef REPRO_X86
+static FMA512 int32_t quant_u8_avx512(const double *v, int64_t elems, int64_t cn,
+                                      const double *scale, double lo, double hi, uint8_t *q) {
+    const __m512d vlo = _mm512_set1_pd(lo), vhi = _mm512_set1_pd(hi);
+    const __m512d magic = _mm512_set1_pd(6755399441055744.0);
+    const __m256i bias = _mm256_set1_epi32(128);
+    const unsigned lanes = (1u << cn) - 1u;
+    int32_t nans = 0;
+    for (int64_t e = 0; e < elems; e++) {
+        __m512d x = _mm512_mul_pd(_mm512_loadu_pd(v + 8 * e), _mm512_set1_pd(scale[e]));
+        __mmask8 ok = _mm512_cmp_pd_mask(x, x, _CMP_ORD_Q);
+        nans += __builtin_popcount(~(unsigned)ok & lanes);
+        x = _mm512_min_pd(_mm512_max_pd(_mm512_maskz_mov_pd(ok, x), vlo), vhi);
+        x = _mm512_sub_pd(_mm512_add_pd(x, magic), magic);
+        __m256i i = _mm256_add_epi32(_mm512_cvtpd_epi32(x), bias);
+        _mm_storel_epi64((__m128i *)(q + 8 * e), _mm512_cvtepi32_epi8(_mm512_castsi256_si512(i)));
+    }
+    return nans;
+}
+
+static FMA256 int32_t quant_u8_avx2(const double *v, int64_t elems, int64_t cn,
+                                    const double *scale, double lo, double hi, uint8_t *q) {
+    const __m256d vlo = _mm256_set1_pd(lo), vhi = _mm256_set1_pd(hi);
+    const __m256d magic = _mm256_set1_pd(6755399441055744.0);
+    const __m128i bias = _mm_set1_epi32(128);
+    const __m128i low_bytes = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1,
+                                            -1, -1, -1, -1);
+    const unsigned lanes = (1u << cn) - 1u;
+    int32_t nans = 0;
+    for (int64_t e = 0; e < elems; e++) {
+        __m256d x = _mm256_mul_pd(_mm256_loadu_pd(v + 4 * e), _mm256_set1_pd(scale[e]));
+        __m256d ok = _mm256_cmp_pd(x, x, _CMP_ORD_Q);
+        nans += __builtin_popcount(~(unsigned)_mm256_movemask_pd(ok) & lanes);
+        x = _mm256_min_pd(_mm256_max_pd(_mm256_and_pd(x, ok), vlo), vhi);
+        x = _mm256_sub_pd(_mm256_add_pd(x, magic), magic);
+        __m128i i = _mm_add_epi32(_mm256_cvtpd_epi32(x), bias);
+        int32_t bytes = _mm_cvtsi128_si32(_mm_shuffle_epi8(i, low_bytes));
+        memcpy(q + 4 * e, &bytes, 4);
+    }
+    return nans;
+}
+#endif
+
+ALWAYS_INLINE int32_t quant_u8(const int ISA, const double *v, int64_t elems, int64_t cn,
+                               const double *scale, double lo, double hi, uint8_t *q) {
+#ifdef REPRO_X86
+    if (ISA == ISA_AVX512)
+        return quant_u8_avx512(v, elems, cn, scale, lo, hi, q);
+    if (ISA == ISA_AVX2)
+        return quant_u8_avx2(v, elems, cn, scale, lo, hi, q);
+#endif
+    return quant_u8_c(v, elems, cn, scale, lo, hi, q);
+}
+
+ALWAYS_INLINE void tile_2d(const int ISA, TILE_ARGS) {
+#ifdef REPRO_X86
+    if (ISA == ISA_AVX512) {
+        tile_avx512(o, a, mat, d, ldd, hb, v, ldv);
+        return;
+    }
+    if (ISA == ISA_AVX2) {
+        tile_avx2(o, a, mat, d, ldd, hb, v, ldv);
+        return;
+    }
+#endif
+    tile_c(o, a, mat, d, ldd, hb, v, ldv);
+}
+
+/* Rows y0 .. y0 + rows - 1, columns x0 .. x0 + width - 1 of channels
+ * c0 .. c0 + L - 1 of one image, channel-last: stage[(i * width + xs) * L
+ * + l] = x[c0 + l][y0 + i][x0 + xs], zero outside the image and in the
+ * lanes past ``cn``. */
+ALWAYS_INLINE void stage_rows(const int L, const double *x, int64_t sc, int64_t sh,
+                              int64_t sw, int64_t h, int64_t w, int64_t y0, int64_t rows,
+                              int64_t x0, int64_t width, int64_t cn, double *stage) {
+    const int64_t lo = x0 < 0 ? -x0 : 0;
+    const int64_t hi = w - x0 < width ? w - x0 : width;
+    for (int64_t i = 0; i < rows; i++) {
+        double *srow = stage + i * width * L;
+        const int64_t y = y0 + i;
+        if (y < 0 || y >= h || hi <= lo) {
+            memset(srow, 0, (size_t)(width * L) * sizeof(double));
+            continue;
+        }
+        memset(srow, 0, (size_t)(lo * L) * sizeof(double));
+        memset(srow + hi * L, 0, (size_t)((width - hi) * L) * sizeof(double));
+        for (int l = 0; l < L; l++) {
+            double *dst = srow + l;
+            if (l >= cn) {
+                for (int64_t xs = lo; xs < hi; xs++)
+                    dst[xs * L] = 0.0;
+                continue;
+            }
+            const double *row = x + l * sc + y * sh;
+            if (sw == 1)
+                for (int64_t xs = lo; xs < hi; xs++)
+                    dst[xs * L] = row[x0 + xs];
+            else
+                for (int64_t xs = lo; xs < hi; xs++)
+                    dst[xs * L] = row[(x0 + xs) * sw];
+        }
+    }
+}
+
+/* One tile element's L lanes into the operand, the first ``cn`` kept:
+ * float64 ``v``, the u8 codes ``q``, or ``v`` as s16. */
+ALWAYS_INLINE void emit_lanes(const int L, const int MODE, const double *v, const uint8_t *q,
+                              int64_t cn, void *out, int64_t off, int32_t *nans,
+                              int32_t *over) {
+    if (MODE == OPERAND_F64) {
+        double *o = (double *)out + off;
+        if (cn == L)
+            memcpy(o, v, (size_t)L * sizeof(double));
+        else
+            for (int64_t l = 0; l < cn; l++)
+                o[l] = v[l];
+    } else if (MODE == OPERAND_U8) {
+        uint8_t *o = (uint8_t *)out + off;
+        if (cn == L)
+            memcpy(o, q, (size_t)L);
+        else
+            for (int64_t l = 0; l < cn; l++)
+                o[l] = q[l];
+    } else {
+        /* Exact integers: count NaN and |v| > 32767 in the live lanes. */
+        int16_t q[WT_LANES];
+        int32_t n = 0, big = 0;
+        for (int l = 0; l < L; l++) {
+            double x = v[l];
+            int32_t nan = x != x, live = l < cn;
+            n += nan & live;
+            big += (__builtin_fabs(x) > 32767.0) & live;
+            x = nan ? 0.0 : x;
+            x = x < -32768.0 ? -32768.0 : x;
+            x = x > 32767.0 ? 32767.0 : x;
+            q[l] = (int16_t)(int32_t)x;
+        }
+        *nans += n;
+        *over += big;
+        int16_t *o = (int16_t *)out + off;
+        if (cn == L)
+            memcpy(o, q, (size_t)L * sizeof(int16_t));
+        else
+            for (int64_t l = 0; l < cn; l++)
+                o[l] = q[l];
+    }
+}
+
+/* Staged elements (rows x columns) per block: 32 KB at 8 lanes, so a
+ * pass keeps under 64 KB of stack and its block stays in L1. */
+#define STAGE_ELEMS 512
+
+/* B^T d B of every tile of the (nb, nc, h, w) image ``x`` (strides in
+ * elements) zero-padded by ``pad`` on every side and out to the tile
+ * grid, as element e = q * a + p of row n = (b * th + ti) * tw + tj of
+ * the (a * a, N, ldo) operand ``out``, channels [0, nc): float64, or the
+ * u8 code clip(rint(v * scale[e]), lo, hi) + 128, or s16.  counts[0]
+ * gets the NaN codes (u8, s16), counts[1] the |v| > 32767 (s16). */
+ALWAYS_INLINE void winograd_input_body(
+    const int ISA, const int MODE, const double *x, int64_t nb, int64_t nc, int64_t h,
+    int64_t w, int64_t sb, int64_t sc, int64_t sh, int64_t sw, int64_t pad, int64_t m,
+    int64_t a, const double *bt, void *out, int64_t ldo, const double *scale, double lo,
+    double hi, int64_t *counts) {
+    const int L = ISA == ISA_AVX512 ? 8 : 4;
+    const int64_t r = a - m + 1;
+    const int64_t th = (h + 2 * pad - r + m) / m, tw = (w + 2 * pad - r + m) / m;
+    const int64_t nall = nb * th * tw, chunk = (STAGE_ELEMS / a - a) / m + 1;
+    double stage[STAGE_ELEMS * WT_LANES];
+    double hb[MAX_ALPHA * MAX_ALPHA * WT_LANES];
+    double v[MAX_ALPHA * MAX_ALPHA * WT_LANES];
+    uint8_t q[MAX_ALPHA * MAX_ALPHA * WT_LANES];
+    int64_t nans = 0, over = 0;
+    for (int64_t bi = 0; bi < nb; bi++)
+        for (int64_t ti = 0; ti < th; ti++)
+            for (int64_t c0 = 0; c0 < nc; c0 += L)
+                for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
+                    const int64_t cn = nc - c0 < L ? nc - c0 : L;
+                    const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
+                    const int64_t width = (nt - 1) * m + a;
+                    stage_rows(L, x + bi * sb + c0 * sc, sc, sh, sw, h, w, ti * m - pad, a,
+                               tj0 * m - pad, width, cn, stage);
+                    int32_t n32 = 0, o32 = 0;
+                    for (int64_t tj = 0; tj < nt; tj++) {
+                        const int64_t n = (bi * th + ti) * tw + tj0 + tj;
+                        tile_2d(ISA, a, a, bt, stage + tj * m * L, width, hb, v, a);
+                        if (MODE == OPERAND_U8)
+                            n32 += quant_u8(ISA, v, a * a, cn, scale, lo, hi, q);
+                        for (int64_t e = 0; e < a * a; e++)
+                            emit_lanes(L, MODE, v + e * L, q + e * L, cn, out,
+                                       (e * nall + n) * ldo + c0, &n32, &o32);
+                    }
+                    nans += n32;
+                    over += o32;
+                }
+    counts[0] = nans;
+    counts[1] = over;
+}
+
+/* A^T Z A of every tile of the (a * a, N, k) accumulators ``z`` -- s32
+ * divided by the (a * a, k) ``denom``, or float64 -- assembled into the
+ * C-contiguous (nb, k, oh, ow) ``out``, the grid's overhang cropped. */
+ALWAYS_INLINE void winograd_output_body(
+    const int ISA, const int S32, const void *z, const double *denom, int64_t nb, int64_t k,
+    int64_t oh, int64_t ow, int64_t m, int64_t a, const double *at, double *out) {
+    const int L = ISA == ISA_AVX512 ? 8 : 4;
+    const int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
+    const int64_t nall = nb * th * tw, chunk = STAGE_ELEMS / (m * m);
+    double stage[STAGE_ELEMS * WT_LANES];
+    double zt[MAX_ALPHA * MAX_ALPHA * WT_LANES];
+    double hb[MAX_ALPHA * MAX_ALPHA * WT_LANES];
+    for (int64_t bi = 0; bi < nb; bi++)
+        for (int64_t ti = 0; ti < th; ti++)
+            for (int64_t k0 = 0; k0 < k; k0 += L)
+                for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
+                    const int64_t kn = k - k0 < L ? k - k0 : L;
+                    const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
+                    const int64_t width = nt * m;
+                    for (int64_t tj = 0; tj < nt; tj++) {
+                        const int64_t n = (bi * th + ti) * tw + tj0 + tj;
+                        for (int64_t e = 0; e < a * a; e++) {
+                            double *ze = zt + e * L;
+                            const int64_t off = (e * nall + n) * k + k0;
+                            if (S32) {
+                                const int32_t *zp = (const int32_t *)z + off;
+                                const double *dp = denom + e * k + k0;
+                                if (kn == L)
+                                    for (int l = 0; l < L; l++)
+                                        ze[l] = (double)zp[l] / dp[l];
+                                else
+                                    for (int l = 0; l < L; l++)
+                                        ze[l] = l < kn ? (double)zp[l] / dp[l] : 0.0;
+                            } else {
+                                const double *zp = (const double *)z + off;
+                                if (kn == L)
+                                    for (int l = 0; l < L; l++)
+                                        ze[l] = zp[l];
+                                else
+                                    for (int l = 0; l < L; l++)
+                                        ze[l] = l < kn ? zp[l] : 0.0;
+                            }
+                        }
+                        tile_2d(ISA, m, a, at, zt, a, hb, stage + tj * m * L, width);
+                    }
+                    const int64_t rows = oh - ti * m < m ? oh - ti * m : m;
+                    const int64_t cols = ow - tj0 * m < width ? ow - tj0 * m : width;
+                    for (int64_t l = 0; l < kn; l++)
+                        for (int64_t q = 0; q < rows; q++) {
+                            double *dst =
+                                out + ((bi * k + k0 + l) * oh + ti * m + q) * ow + tj0 * m;
+                            const double *src = stage + q * width * L + l;
+                            for (int64_t xo = 0; xo < cols; xo++)
+                                dst[xo] = src[xo * L];
+                        }
+                }
+}
+
+#define WT_INPUT_ARGS                                                                       \
+    const double *x, int64_t nb, int64_t nc, int64_t h, int64_t w, int64_t sb, int64_t sc,  \
+        int64_t sh, int64_t sw, int64_t pad, int64_t m, int64_t a, const double *bt,         \
+        int64_t mode, void *out, int64_t ldo, const double *scale, double lo, double hi,     \
+        int64_t *counts
+#define WT_INPUT(ISA, MODE)                                                                 \
+    winograd_input_body(ISA, MODE, x, nb, nc, h, w, sb, sc, sh, sw, pad, m, a, bt, out, ldo, \
+                        scale, lo, hi, counts)
+#define WT_OUTPUT_ARGS                                                                      \
+    const void *z, int64_t s32, const double *denom, int64_t nb, int64_t k, int64_t oh,     \
+        int64_t ow, int64_t m, int64_t a, const double *at, double *out
+#define WT_OUTPUT(ISA, S32) \
+    winograd_output_body(ISA, S32, z, denom, nb, k, oh, ow, m, a, at, out)
+
+/* The exported pair of one variant. */
+#define WT_DEFINE(ATTR, NAME, ISA)                                     \
+    ATTR void repro_winograd_in_##NAME(WT_INPUT_ARGS) {             \
+        if (mode == OPERAND_U8)                                        \
+            WT_INPUT(ISA, OPERAND_U8);                                 \
+        else if (mode == OPERAND_S16)                                  \
+            WT_INPUT(ISA, OPERAND_S16);                                \
+        else                                                           \
+            WT_INPUT(ISA, OPERAND_F64);                                \
+    }                                                                  \
+    ATTR void repro_winograd_out_##NAME(WT_OUTPUT_ARGS) {           \
+        if (s32)                                                       \
+            WT_OUTPUT(ISA, 1);                                         \
+        else                                                           \
+            WT_OUTPUT(ISA, 0);                                         \
+    }
+
+WT_DEFINE(, c, ISA_C)
+#ifdef REPRO_X86
+WT_DEFINE(FMA512, avx512_vnni, ISA_AVX512)
+WT_DEFINE(FMA256, avx2, ISA_AVX2)
+#endif

@@ -5,28 +5,31 @@ Winograd only pays off when transform / quantize / GEMM / dequantize run
 as one tight pipeline instead of four separate whole-tensor passes.
 This module is that pipeline.  LoWino (Fig. 3), the up-casting and
 down-scaling baselines (Fig. 2a/2b) and their FP32 twin share the
-``B^T d B`` input transform into the ``(T, N, C)`` GEMM layout, the
-batched GEMM and the ``A^T Z A`` output transform out of it; they
-differ only in where quantization sits.  So each algorithm is one short
-pipeline function (:data:`PIPELINES`) composed from shared stage
-primitives:
+``B^T d B`` input pass into the ``(T, N, C)`` GEMM layout, the batched
+GEMM and the ``A^T Z A`` output pass out of it; they differ only in
+where quantization sits.  So each algorithm is one short pipeline
+function (:data:`PIPELINES`) composed from shared stage primitives:
 
-* :func:`_pad` -- zero-pad into leased scratch, optionally quantizing
-  (the spatial-domain schemes quantize before the transform); Winograd
-  inputs are padded out to the tile grid, so tail tiles read zeros;
-* :func:`_winograd_input` -- one strided gather of the padded input
-  into an ``(alpha, alpha, N*C)`` operand, then ``B^T d B`` as two
-  whole-layer GEMMs that land in the ``(T, N, C)`` layout;
-  :func:`_im2col` for ``fp32_direct``;
-* :func:`_codes` -- the integer codes as the u8 (``+128``) or s16
-  ``(T, N, Cp)`` operand of the integer GEMM;
+* :func:`_transform_in` -- the native input pass
+  (:func:`repro.native.winograd_input`): it gathers tiles straight from
+  the unpadded image (padding and the tile grid's tail read as zero),
+  applies ``B^T d B`` and writes the GEMM operand in its final dtype --
+  float64 for the FP32 twin and uncalibrated LoWino, u8 codes (``+128``)
+  for calibrated LoWino and the down-scaling baseline, s16 for the
+  up-casting one; :func:`_spatial_codes` quantizes the spatial-domain
+  schemes' input first, :func:`_pad` + :func:`_im2col` serve
+  ``fp32_direct``;
+* :func:`_codes` -- uncalibrated LoWino's u8 operand from the float
+  one, after its per-call min/max params;
 * :func:`_int_gemm` -- the quantized GEMM in :mod:`repro.native`:
   ``init + A . B`` in s32 against the plan's packed filter, ``init``
   carrying the Eq. 9 compensation; :func:`_gemm` (one ``np.matmul``)
   for the FP32 pipelines;
-* :func:`_winograd_output` -- ``A^T Z A`` as two whole-layer GEMMs on
-  the dequantized ``(T, N, K)`` accumulators, then assembly into a
-  fresh output; :func:`_nhwc_restore` for ``fp32_direct``;
+* :func:`_transform_out` -- the native output pass
+  (:func:`repro.native.winograd_output`): it dequantizes the s32
+  accumulators by the reference's denominator (or takes the float64
+  ones), applies ``A^T Z A`` and assembles a fresh output;
+  :func:`_nhwc_restore` for ``fp32_direct``;
 * :func:`epilogue` -- the compiled graph's bias/ReLU, in place.
 
 ``int8_direct`` builds its whole u8 operand natively: a quantize-pad
@@ -35,7 +38,8 @@ dequantizing divide straight into the NHWC-backed output.
 
 Every intermediate lands in the call's leased scratch via ``out=``
 targets, every output is a fresh array, and each pipeline laps the
-tracer at the same stage boundaries as the reference layers' stages.
+tracer at the same stage boundaries as the reference layers' stages
+(calibrated LoWino's fused pass is its ``input_transform`` lap).
 The engine (:class:`~repro.runtime.engine.ExecutionEngine`) owns the
 scratch pool and builds the call's tile grid; it hands the lease in
 through a :class:`FusedCall` and the tile grid as an argument.
@@ -57,19 +61,17 @@ materializations because each skip is an exact no-op:
   2**32 -- exactly what the reference layers' ``astype(np.int32)``
   computes, in any summation order.  The +128 bias on u8 activations
   is removed by the compensation in ``init`` modulo 2**32 as well.
-  Codes travel between stages as exact integers in float64 (the values
-  of :func:`_round_clip` and of the integer transform ``B^T d B``), and
-  the cast into the GEMM operand changes none of them; the upcast
-  path's INT16 guard (``v16_ok``, else the reference's runtime check)
-  keeps the s16 cast exact.
-- *Float stages replay the reference's arithmetic*: ``matmul(...,
-  out=)`` into a C-contiguous buffer issues the same BLAS call as a
-  fresh allocation, and the GEMM-layout transforms
-  (:func:`repro.winograd.gemm_layout_transform`) compute each element
-  as the same two dot products, in the same order, as the reference's
-  per-tile transforms -- only the BLAS call shape differs -- so the
-  FP32 stages match bitwise too.  Dequantization divides the s32
-  accumulators by the reference's own denominator.
+  Spatial codes travel as exact integers in float64 (the values of
+  :func:`_round_clip`), the integer ``B^T d B`` of them is exact in any
+  order, and the s16 pass counts every value past INT16 -- the
+  reference's own OverflowError condition -- so its cast is exact.
+- *Float transforms replay the reference's arithmetic*: the native
+  passes compute each transform element as the two fma chains OpenBLAS
+  computes for the reference's per-tile ``transform_2d`` (from +0, in
+  the same order, zero coefficients included), so the FP32 stages
+  match bitwise; quantization is ``_round_clip``'s, bit for bit, and
+  dequantization divides the s32 accumulators by the reference's own
+  denominator.
 - *In-place epilogue*: ``out += bias`` then ``np.maximum(out, 0.0,
   out=out)`` on the fresh output computes exactly
   ``np.maximum(out + bias, 0.0)``.
@@ -88,7 +90,6 @@ import numpy as np
 from .. import native
 from ..conv.im2col import conv_output_shape, im2col
 from ..quant import QuantParams, per_position_minmax_params, spatial_params_from_tensor
-from ..winograd import gemm_layout_transform
 
 __all__ = [
     "FUSED_ALGORITHMS",
@@ -99,7 +100,6 @@ __all__ = [
 
 _INT8_MIN = int(np.iinfo(np.int8).min)
 _INT8_MAX = int(np.iinfo(np.int8).max)
-_INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 class FusedCall:
@@ -140,69 +140,42 @@ def _spatial_params(layer, images: np.ndarray) -> QuantParams:
     return spatial_params_from_tensor(images, bits=layer.bits)
 
 
-def _pad(
-    call: FusedCall,
-    images: np.ndarray,
-    padding: int,
-    grid=None,
-    params: Optional[QuantParams] = None,
-) -> np.ndarray:
-    """Zero-pad into leased scratch, quantizing on the way when ``params``
-    is given (replaces ``quantize -> int8; pad_images`` and the fresh
-    allocation of ``pad_images``; quantize(0) == 0 for the border).
-
-    With a tile ``grid`` the bottom/right border extends to the grid's
-    padded input size: the zeros the reference's ``extract_tiles`` adds
-    for tail tiles.  Input that needs neither padding nor quantization
-    is returned as is.
-    """
+def _pad(call: FusedCall, images: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad into leased scratch (replaces the fresh allocation of
+    ``pad_images``); input that needs no padding is returned as is."""
+    if padding == 0:
+        return images
     b, c, h, w = images.shape
     p = padding
-    if grid is None:
-        hp, wp = h + 2 * p, w + 2 * p
-    else:
-        hp, wp = grid.padded_in_h, grid.padded_in_w
-    if (hp, wp) == (h, w) and params is None:
-        return images
-    xp = call.buf("xpad", (b, c, hp, wp), np.float64)
+    xp = call.buf("xpad", (b, c, h + 2 * p, w + 2 * p), np.float64)
     xp[:, :, :p, :] = 0.0
     xp[:, :, h + p :, :] = 0.0
     xp[:, :, p : h + p, :p] = 0.0
     xp[:, :, p : h + p, w + p :] = 0.0
-    xi = xp[:, :, p : h + p, p : w + p]
-    if params is None:
-        np.copyto(xi, images)
-    else:
-        _round_clip(images, params.scale, params.qmin, params.qmax, out=xi)
+    np.copyto(xp[:, :, p : h + p, p : w + p], images)
     return xp
 
 
-def _winograd_input(call: FusedCall, x: np.ndarray, grid, bt: np.ndarray) -> np.ndarray:
-    """``B^T d B`` of every tile, in the ``(T, N, C)`` GEMM layout.
+def _spatial_codes(call: FusedCall, images: np.ndarray, params: QuantParams) -> np.ndarray:
+    """The spatial-domain schemes' integer codes of ``images``, exactly
+    in float64 in leased scratch (the transform pass pads them)."""
+    xq = call.buf("xq", images.shape, np.float64)
+    return _round_clip(images, params.scale, params.qmin, params.qmax, out=xq)
 
-    ``x`` is padded to the grid's padded input size.  One strided copy
-    gathers it into an ``(alpha, alpha, N*C)`` operand -- element
-    ``(i, j)`` of tile ``(b, ti, tj)``, channel ``c`` -- and
-    :func:`~repro.winograd.gemm_layout_transform` lands the result as
-    the ``(T, N, C)`` operand.  On the quantized paths ``bt`` is the
-    integer matrix as float64: same products on the same exact-integer
-    values, so the results equal the reference's int64 transform.
-    """
-    b, c = x.shape[0], x.shape[1]
-    a, m, th, tw = grid.alpha, grid.m, grid.tiles_h, grid.tiles_w
-    sb, sc, sh, sw = x.strides
-    tiles = call.buf("tiles", (a, a, b, th, tw, c), np.float64)
-    np.copyto(tiles, np.lib.stride_tricks.as_strided(
-        x, shape=tiles.shape, strides=(sh, sw, sb, sh * m, sw * m, sc), writeable=False
-    ))
-    x_cols = b * th * tw * c
-    v = gemm_layout_transform(
-        bt,
-        tiles.reshape(a, a, x_cols),
-        half=call.buf("half", (a, a, x_cols), np.float64),
-        out=call.buf("v", (a, a, x_cols), np.float64),
-    )
-    return v.reshape(a * a, b * th * tw, c)
+
+def _transform_in(
+    call: FusedCall, images: np.ndarray, grid, bt: np.ndarray, padding: int, dtype, **quant
+) -> np.ndarray:
+    """``B^T d B`` of every tile as the GEMM operand, in one native pass
+    (:func:`repro.native.winograd_input`, which takes ``quant``) over the
+    unpadded ``images``: float64 ``(T, N, C)``, or ``(T, N, Cp)`` u8
+    codes (``+128``) or s16.  Raises like the pass: :class:`ValueError`
+    on a NaN code, :class:`OverflowError` on an s16 value past INT16."""
+    b, c = images.shape[:2]
+    cols = c if dtype == np.float64 else native.padded_k(c)
+    shape = (grid.alpha * grid.alpha, b * grid.tiles_per_image, cols)
+    out = call.buf("v" if dtype == np.float64 else "a", shape, dtype)
+    return native.winograd_input(images, bt, grid.m, padding, out, **quant)
 
 
 def _im2col(call: FusedCall, layer, x: np.ndarray, images: np.ndarray):
@@ -258,35 +231,24 @@ def _int_gemm(call: FusedCall, plan, a: np.ndarray) -> np.ndarray:
     return gemm(a, b, init, z)
 
 
-def _winograd_output(
-    call: FusedCall, acc: np.ndarray, batch: int, grid, at: np.ndarray
+def _transform_out(
+    call: FusedCall, z: np.ndarray, batch: int, grid, at: np.ndarray, denom=None
 ) -> np.ndarray:
-    """``A^T Z A`` of the ``(T, N, K)`` float64 accumulators, assembled
-    into a fresh C-contiguous ``(B, K, out_h, out_w)`` output.
+    """``A^T Z A`` of the ``(T, N, K)`` accumulators, assembled into a
+    fresh C-contiguous ``(B, K, out_h, out_w)`` output in one native pass
+    (:func:`repro.native.winograd_output`); s32 ``z`` is dequantized on
+    the way as ``z / denom``, ``denom`` the reference's own denominator
+    broadcast to ``(T, K)``.
 
     The output's memory order matches the reference's
     ``assemble_output``: downstream reductions (pooling means) sum in
-    layout order.  Geometries whose last tiles overhang the output
-    assemble the full tile grid in scratch and copy the crop out.
+    layout order.
     """
-    n, k = acc.shape[1:]
-    a, m, th, tw = grid.alpha, grid.m, grid.tiles_h, grid.tiles_w
-    y = gemm_layout_transform(
-        at,
-        acc.reshape(a, a, n * k),
-        half=call.buf("ohalf", (a, m, n * k), np.float64),
-        out=call.buf("y", (m, m, n * k), np.float64),
-    )
-    oh, ow = grid.out_h, grid.out_w
-    full_shape = (batch, k, th * m, tw * m)
-    crop = full_shape[2:] != (oh, ow)
-    full = call.buf("full", full_shape, np.float64) if crop else np.empty(full_shape)
-    # y[p, o, (b, ti, tj, k)] is output pixel (ti*m + p, tj*m + o).
-    np.copyto(
-        full.reshape(batch, k, th, m, tw, m),
-        y.reshape(m, m, batch, th, tw, k).transpose(2, 5, 3, 0, 4, 1),
-    )
-    return full[:, :, :oh, :ow].copy() if crop else full
+    t, _, k = z.shape
+    if denom is not None:
+        denom = np.ascontiguousarray(np.broadcast_to(denom, (t, 1, k)).reshape(t, k))
+    out = np.empty((batch, k, grid.out_h, grid.out_w))
+    return native.winograd_output(z, at, out, denom)
 
 
 def _nhwc_restore(z: np.ndarray, batch: int, oh: int, ow: int) -> np.ndarray:
@@ -320,24 +282,28 @@ def epilogue(
 # call's tile grid, None for the direct algorithms -- and returns the
 # output before the epilogue.
 def _lowino(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
-    """Winograd-domain quantization (Fig. 3): input_transform ->
-    quantize -> gemm -> output_transform."""
+    """Winograd-domain quantization (Fig. 3): input_transform (with
+    quantize, once calibrated) -> gemm -> output_transform."""
     layer = plan.layer
-    v = _winograd_input(call, _pad(call, images, layer.padding, grid), grid, layer.alg.bt)
-    call.lap("input_transform")
     params = layer.input_params
     if params is None:
+        # Per-call min/max params need the whole float operand first.
+        v = _transform_in(call, images, grid, layer.alg.bt, layer.padding, np.float64)
+        call.lap("input_transform")
         params = per_position_minmax_params(v, position_axis=0, bits=layer.bits)
-    # Quantize, then the +128 bias of Section 4.2.1 into the u8 operand.
-    _round_clip(v, params.scale, params.qmin, params.qmax, out=v)
-    a = _codes(call, v, np.uint8, 128.0)
-    call.lap("quantize")
+        _round_clip(v, params.scale, params.qmin, params.qmax, out=v)
+        a = _codes(call, v, np.uint8, 128.0)  # +128 bias of Section 4.2.1
+        call.lap("quantize")
+    else:
+        # Transform, quantize and the +128 bias in one pass.
+        a = _transform_in(call, images, grid, layer.alg.bt, layer.padding, np.uint8,
+                          scale=params.scale, lo=params.qmin, hi=params.qmax)
+        call.lap("input_transform")
     z = _int_gemm(call, plan, a)  # init = zbar, Eq. 9
     call.lap("gemm")
-    # De-quantize (Eq. 6) by the (T, 1, K) scale, into float64.
-    acc = call.buf("acc", z.shape, np.float64)
-    np.divide(z, params.scale * layer.filter_params.scale, out=acc)
-    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
+    # De-quantize (Eq. 6) by the (T, 1, K) scale on the way out.
+    out = _transform_out(call, z, images.shape[0], grid, layer.alg.at,
+                         params.scale * layer.filter_params.scale)
     call.lap("output_transform")
     return out
 
@@ -347,16 +313,11 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, grid, params)
+    x = _spatial_codes(call, images, params)
     call.lap("quantize")
-    v = _winograd_input(call, x, grid, plan.operands["bt_f64"])  # int16-valued
-    if not plan.meta["v16_ok"]:
-        # The plan-time bound cannot rule out INT16 overflow for this
-        # transform; fall back to the reference's runtime reduction.
-        max_v = int(np.abs(v).max()) if v.size else 0
-        if max_v > _INT16_MAX:
-            raise OverflowError(f"transformed inputs overflow INT16 (max {max_v})")
-    a = _codes(call, v, np.int16, 0.0)
+    # Exact on the integer codes; raises the reference's OverflowError
+    # where a transformed value leaves INT16.
+    a = _transform_in(call, x, grid, plan.operands["bt_f64"], layer.padding, np.int16)
     call.lap("input_transform")
     z = _int_gemm(call, plan, a)
     call.lap("gemm")
@@ -367,9 +328,7 @@ def _int8_upcast(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarray:
         * (layer.bt_lcm**2)
         * layer.filter_scale
     )
-    acc = call.buf("acc", z.shape, np.float64)
-    np.divide(z, denom, out=acc)
-    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
+    out = _transform_out(call, z, images.shape[0], grid, layer.alg.at, denom)
     call.lap("output_transform")
     return out
 
@@ -379,14 +338,14 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
     input_transform -> gemm -> output_transform."""
     layer = plan.layer
     params = _spatial_params(layer, images)
-    x = _pad(call, images, layer.padding, grid, params)
+    x = _spatial_codes(call, images, params)
     call.lap("quantize")
-    v = _winograd_input(call, x, grid, plan.operands["bt_f64"])
     # Down-scale + round, the lossy step of Figure 2b -- the reference's
-    # saturate_cast(..., int8), elementwise on the same values -- then
-    # the +128 bias that the plan's compensation removes again.
-    _round_clip(v, layer.input_downscale / (layer.bt_lcm**2), _INT8_MIN, _INT8_MAX, out=v)
-    a = _codes(call, v, np.uint8, 128.0)
+    # saturate_cast(..., int8), elementwise on the exact transform --
+    # then the +128 bias that the plan's compensation removes again.
+    a = _transform_in(call, x, grid, plan.operands["bt_f64"], layer.padding, np.uint8,
+                      scale=layer.input_downscale / (layer.bt_lcm**2), lo=_INT8_MIN,
+                      hi=_INT8_MAX)
     call.lap("input_transform")
     z = _int_gemm(call, plan, a)
     call.lap("gemm")
@@ -397,9 +356,7 @@ def _int8_downscale(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarr
         * layer.weight_params.scale.reshape(1, 1, k)
         * layer.filter_downscale
     )
-    acc = call.buf("acc", z.shape, np.float64)
-    np.divide(z, denom, out=acc)
-    out = _winograd_output(call, acc, images.shape[0], grid, layer.alg.at)
+    out = _transform_out(call, z, images.shape[0], grid, layer.alg.at, denom)
     call.lap("output_transform")
     return out
 
@@ -437,11 +394,11 @@ def _fp32_winograd(call: FusedCall, plan, images: np.ndarray, grid) -> np.ndarra
     ``Fp32WinogradConv2d.__call__``: input_transform -> gemm ->
     output_transform."""
     layer = plan.layer
-    v = _winograd_input(call, _pad(call, images, layer.padding, grid), grid, layer.alg.bt)
+    v = _transform_in(call, images, grid, layer.alg.bt, layer.padding, np.float64)
     call.lap("input_transform")
     z = _gemm(call, v, plan.operands["u_f64"])
     call.lap("gemm")
-    out = _winograd_output(call, z, images.shape[0], grid, layer.alg.at)
+    out = _transform_out(call, z, images.shape[0], grid, layer.alg.at)
     call.lap("output_transform")
     return out
 

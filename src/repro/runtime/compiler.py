@@ -44,7 +44,7 @@ from ..nn.graph import Graph, Node, trace
 from ..nn.layers import Conv2d, Layer
 from .cache import PlanCache
 from .engine import ExecutionEngine
-from .plan import ConvPlan, _engine_operands, _plan_meta, get_plan
+from .plan import ConvPlan, _engine_operands, get_plan
 
 __all__ = [
     "algorithm_of_engine",
@@ -107,7 +107,6 @@ def plan_for_conv(conv: Conv2d, cache: PlanCache) -> ConvPlan:
             algorithm=algorithm,
             layer=engine,
             operands=_engine_operands(algorithm, engine),
-            meta=_plan_meta(algorithm, engine),
         ),
     )
 

@@ -1,24 +1,26 @@
 """Vectorized execution of prepared convolution plans.
 
-The online path of every algorithm is expressed as whole-tensor
-operations over *all* tiles at once -- the tile gather as one strided
-copy into the GEMM layout, each 2D transform as two whole-layer BLAS
-GEMMs in that layout, the batched GEMM as one call, tile assembly as
-one strided copy -- with no per-tile or per-task Python loop anywhere.
-The loop-based implementations stay available as ``*_reference``
+The online path of every algorithm runs over *all* tiles of a layer at
+once -- each Winograd transform as one native pass over the whole
+layer (gather + ``B^T d B`` + quantize into the GEMM layout;
+dequantize + ``A^T Z A`` + assembly out of it), the batched GEMM as one
+call -- with no per-tile or per-task Python loop anywhere.  The
+loop-based implementations stay available as ``*_reference``
 (:meth:`repro.core.LoWinoConv2d.reference_forward`,
 :func:`repro.gemm.batched_gemm_reference`) for differential testing.
 
 All six algorithms -- the four quantized pipelines and the two FP32
 baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
 the engine builds the call's tile grid, leases a scratch arena from its
-own pool, and runs the algorithm's pipeline.  The quantized pipelines
-run their integer GEMM in the compiled kernels of :mod:`repro.native`
-(``vpdpbusd`` / ``vpdpwssd`` where the CPU has AVX-512 VNNI), whose s32
-sums wrap exactly as the reference layers' int32 casts do; the FP32
-pipelines run one serial ``np.matmul``.  Every pipeline is bitwise
-identical to its reference layer (see the bit-identity notes in
-:mod:`repro.runtime.backends`).
+own pool, and runs the algorithm's pipeline.  The pipelines run their
+transform passes and integer GEMMs in the compiled kernels of
+:mod:`repro.native` (``vpdpbusd`` / ``vpdpwssd`` and 8-lane fma where
+the CPU has AVX-512 VNNI): the GEMMs' s32 sums wrap exactly as the
+reference layers' int32 casts do, and the transforms compute each
+element as the fma chains BLAS computes for the reference layers'
+per-tile transforms; the FP32 pipelines run one serial ``np.matmul``.
+Every pipeline is bitwise identical to its reference layer (see the
+bit-identity notes in :mod:`repro.runtime.backends`).
 """
 
 from __future__ import annotations

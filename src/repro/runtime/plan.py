@@ -170,13 +170,16 @@ class ScratchPool:
             return doc
 
 
-def _array_bytes(obj: Any) -> int:
-    """Summed ``nbytes`` of the ndarray attributes of a layer object."""
-    total = 0
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-    return total
+def _distinct_bytes(arrays) -> int:
+    """Bytes held by ``arrays``, each underlying buffer counted once: a
+    view, or an operand shared with the layer, resolves to the array
+    that owns its memory."""
+    owners: Dict[int, int] = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
 
 
 @dataclass
@@ -191,14 +194,14 @@ class ConvPlan:
     #: compensation, the FP32 filter matrices, ...), by name; see
     #: :func:`_engine_operands`.
     operands: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Plan-time analytic facts the fused kernels exploit (see
-    #: :func:`_plan_meta`): the integer range bound that lets the upcast
-    #: path skip its runtime overflow reduction.
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        return _array_bytes(self.layer) + sum(a.nbytes for a in self.operands.values())
+        """Bytes the plan holds: the layer's arrays and the operands,
+        every buffer once (``fp32_winograd``'s ``u_f64`` *is* the
+        layer's ``u``, ``lowino``'s ``init`` its ``zbar``)."""
+        arrays = [v for v in vars(self.layer).values() if isinstance(v, np.ndarray)]
+        return _distinct_bytes(arrays + list(self.operands.values()))
 
 
 def filters_digest(filters: np.ndarray) -> str:
@@ -324,29 +327,6 @@ def _engine_operands(algorithm: str, layer: Any) -> Dict[str, np.ndarray]:
     return ops
 
 
-def _abs_colsum_max(matrix: np.ndarray, axis: int) -> int:
-    """``max over the kept axes of sum(|matrix|)`` along ``axis`` (int64)."""
-    if matrix.size == 0:
-        return 0
-    return int(np.abs(matrix.astype(np.int64)).sum(axis=axis).max())
-
-
-def _plan_meta(algorithm: str, layer: Any) -> Dict[str, Any]:
-    """Plan-time analytic facts for the fused pipelines.
-
-    Only ``int8_upcast`` has one.  Its quantized input ``|d| <= 2**(bits-1)``
-    bounds the integer input transform ``B^T d B`` by Hölder's inequality
-    (``|Av| <= max_row sum|A| * max|v|``): ``v_bound``.  When that stays
-    within INT16 (``v16_ok``) the pipeline skips the reference's per-call
-    ``np.abs(v).max()`` overflow reduction.
-    """
-    if algorithm != "int8_upcast":
-        return {}
-    row = _abs_colsum_max(layer.bt_int, axis=1)
-    v_bound = (1 << (layer.bits - 1)) * row * row
-    return {"v_bound": v_bound, "v16_ok": v_bound <= int(np.iinfo(np.int16).max)}
-
-
 def build_plan(
     algorithm: str,
     filters: np.ndarray,
@@ -362,7 +342,6 @@ def build_plan(
         algorithm=algorithm,
         layer=layer,
         operands=_engine_operands(algorithm, layer),
-        meta=_plan_meta(algorithm, layer),
     )
 
 

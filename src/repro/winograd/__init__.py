@@ -5,8 +5,7 @@ Public surface:
 * :func:`winograd_algorithm` / :func:`cook_toom` -- build F(m, r) matrices.
 * :class:`WinogradAlgorithm` -- the generated algorithm object.
 * :func:`input_transform` / :func:`filter_transform` / :func:`output_transform`
-  -- batched 2D transforms; :func:`gemm_layout_transform` -- the same
-  transform over a whole layer in the GEMM layout.
+  -- batched 2D transforms (:func:`transform_2d`).
 * :func:`extract_tiles` / :func:`assemble_output` / :func:`tile_grid` --
   overlapping tile decomposition.
 * :func:`winograd_conv2d_fp32` -- the FP32 reference convolution.
@@ -28,7 +27,6 @@ from .reference import winograd_conv2d_exact, winograd_conv2d_fp32, winograd_dom
 from .tiling import TileGrid, assemble_output, extract_tiles, tile_grid
 from .transforms import (
     filter_transform,
-    gemm_layout_transform,
     input_transform,
     output_transform,
     transform_2d,
@@ -58,7 +56,6 @@ __all__ = [
     "extract_tiles",
     "tile_grid",
     "filter_transform",
-    "gemm_layout_transform",
     "input_transform",
     "output_transform",
     "transform_2d",

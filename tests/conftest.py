@@ -28,10 +28,12 @@ settings.load_profile("repro")
 
 
 def pytest_report_header(config):
-    """Name the native kernel variant this run exercises."""
+    """Name the native kernel variant -- GEMMs and Winograd transform
+    passes -- this run exercises."""
     from repro import native
 
-    return f"repro.native: {native.VARIANT} (supported: {', '.join(native.VARIANTS)})"
+    return (f"repro.native: {native.VARIANT} GEMMs and transform passes "
+            f"(supported: {', '.join(native.VARIANTS)})")
 
 
 @pytest.fixture(scope="session")

@@ -57,10 +57,13 @@ def test_failed_build_raises_import_error_with_stderr(tmp_path, monkeypatch):
 
 
 @pytest.mark.concurrency
-@pytest.mark.parametrize("algorithm", ["int8_direct", "lowino", "int8_upcast"])
+@pytest.mark.parametrize(
+    "algorithm", ["int8_direct", "lowino", "int8_upcast", "int8_downscale", "fp32_winograd"]
+)
 def test_two_threads_in_one_kernel_match_serial(algorithm, make_rng):
-    """ctypes drops the GIL for the call, so both threads run the kernel
-    on the plan's packed operands at once; each gets the serial bytes."""
+    """ctypes drops the GIL for the call, so both threads run the kernels
+    (GEMMs and transform passes) on the plan's operands at once; each
+    gets the serial bytes."""
     rng = make_rng()
     engine = ExecutionEngine(cache=PlanCache(capacity=4))
     plan = engine.plan_for(rng.standard_normal((32, 32, 3, 3)) * 0.1, algorithm,

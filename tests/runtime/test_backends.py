@@ -1,12 +1,13 @@
 """Fused pipelines: the bitwise contract.
 
 ``repro.runtime.backends`` runs each algorithm as one pipeline composed
-from shared stage primitives, the quantized GEMMs in the native integer
-kernels (``repro.native``) and the FP32 ones as one serial
-``np.matmul``.  The contract is that every pipeline produces bit-for-bit
-the output of its reference layer, on every edge geometry, with or
-without the plan-time ``v16_ok`` shortcut engaged; that every quantized
-pipeline refuses NaN activations; and that every pipeline laps the
+from shared stage primitives: the Winograd transform passes and the
+quantized GEMMs in the native kernels (``repro.native``), the FP32
+GEMMs as one serial ``np.matmul``.  The contract is that every pipeline
+produces bit-for-bit the output of its reference layer, on every edge
+geometry and on channel counts off every lane width; that every
+quantized pipeline refuses NaN activations and the up-casting one
+raises the reference's INT16 overflow; and that every pipeline laps the
 stage tracer at the same boundaries.
 Shared-session stress runs in ``tests/runtime/test_concurrency.py``.
 """
@@ -54,6 +55,21 @@ class TestEdgeGridBitIdentity:
         x = rng.standard_normal((1, 1, m + 2, m + 2))
         w = rng.standard_normal((1, 1, 3, 3))
         layer = _engine().layer(w, algorithm, m=m)
+        np.testing.assert_array_equal(layer(x), layer.reference(x))
+
+    @pytest.mark.parametrize("channels", [(1, 3), (3, 17), (17, 33), (33, 1)],
+                             ids=lambda ck: "c%d_k%d" % ck)
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("algorithm", [*WINOGRAD_ALGORITHMS, "lowino-calibrated"])
+    def test_odd_channel_counts(self, algorithm, m, channels, rng):
+        """C and K off the transform passes' 4- and 8-channel blocks and
+        the GEMM's 4-step reduction, with tail tiles and padding."""
+        c, k = channels
+        x = rng.standard_normal((2, c, 9, 7))
+        w = rng.standard_normal((k, c, 3, 3)) * 0.3
+        layer = _engine().layer(w, algorithm.split("-")[0], m=m, padding=1)
+        if algorithm == "lowino-calibrated":
+            layer.calibrate([rng.standard_normal((2, c, 9, 7))])
         np.testing.assert_array_equal(layer(x), layer.reference(x))
 
     @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
@@ -112,80 +128,72 @@ class TestModelBitIdentity:
         np.testing.assert_array_equal(session.run(x), model(x))
 
 
-class TestPlanMetaBounds:
-    """The analytic plan-time bound, and the fallback path it gates."""
+class TestInt16Overflow:
+    """The up-casting pipeline's s16 operand: its transform pass counts
+    values past INT16 and raises the reference's OverflowError exactly
+    where the reference's ``max |B^T d B| > 32767`` check does."""
 
-    def _upcast_layer(self, engine, rng, c=4, k=3):
-        w = rng.standard_normal((k, c, 3, 3)) * 0.1
-        return engine.layer(w, "int8_upcast", m=2, padding=1)
-
-    def test_upcast_meta_present(self, rng):
-        """The INT16 bound is the only plan meta left: the integer GEMM
-        wraps like the reference by construction, so no INT32 bound."""
-        layer = self._upcast_layer(_engine(), rng)
-        meta = layer.plan.meta
-        assert set(meta) == {"v_bound", "v16_ok"}
-        assert meta["v16_ok"] is True  # m=2: |B^T d B| <= 128 * 4^2 = 2048
-        assert meta["v_bound"] >= 1
-
-    def test_v_bound_is_sound(self, rng):
-        """The analytic bound dominates the runtime reduction it replaces."""
-        engine = _engine()
-        layer = self._upcast_layer(engine, rng)
-        ref = layer.reference
-        x = np.maximum(rng.standard_normal((2, 4, 12, 12)), 0)
+    @staticmethod
+    def _max_transformed(layer, x):
+        """The reference's own max |V| on input ``x``."""
+        from repro.conv._tileops import prepare_input_tiles
         from repro.conv.im2col import pad_images
-        from repro.quant import spatial_params_from_tensor
-        from repro.quant.linear import quantize
-        from repro.winograd import tile_grid
-        from repro.winograd.tiling import extract_tiles
+        from repro.conv.upcast import _transform_int
+        from repro.quant import QuantParams, quantize
 
-        params = spatial_params_from_tensor(x, bits=ref.bits)
-        q = quantize(pad_images(x, ref.padding), params).astype(np.int64)
-        tiles = extract_tiles(tile_grid(ref.alg, q.shape[2], q.shape[3]), q)
-        v = np.einsum("ij,bcxyjk,kl->bcxyil", ref.bt_int, tiles, ref.bt_int.T)
-        assert int(np.abs(v).max()) <= layer.plan.meta["v_bound"]
+        params = QuantParams.from_threshold(layer.input_threshold, bits=layer.bits)
+        tiles, _ = prepare_input_tiles(layer.alg, pad_images(quantize(x, params), 1))
+        return int(np.abs(_transform_int(layer.bt_int, tiles)).max())
 
-    @pytest.mark.parametrize("flag", ["v16_ok"])
-    def test_disabled_shortcuts_stay_bitwise(self, flag, rng):
-        """Forcing the runtime fallback (abs-max check) must not change a
-        single bit when no overflow actually occurs."""
-        engine = _engine()
-        layer = self._upcast_layer(engine, rng)
-        x = np.maximum(rng.standard_normal((2, 4, 12, 12)), 0)
-        fast = layer(x).copy()
-        layer.plan.meta[flag] = False
-        np.testing.assert_array_equal(layer(x), fast)
-        np.testing.assert_array_equal(layer(x), layer.reference(x))
-
-    def test_upcast_overflow_still_raises(self, rng):
-        """The INT16 overflow guard survives the fusion: inputs whose
-        transformed magnitude exceeds the bound raise like the reference."""
-        engine = _engine()
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_raises_where_reference_does(self, m, rng):
+        """F(6,3)'s transform can leave INT16 on saturated codes, F(4,3)'s
+        cannot; both sides agree on every input either way."""
         w = rng.standard_normal((3, 4, 3, 3)) * 0.1
-        # F(6,3): the analytic bound (128 * row^2 = 460800) exceeds
-        # INT16, so the fused path must re-arm the runtime reduction.
-        layer = engine.layer(w, "int8_upcast", m=6, padding=1)
-        assert not layer.plan.meta["v16_ok"]
-        x = np.maximum(rng.standard_normal((1, 4, 12, 12)), 0) * 100.0
-        try:
-            expected = layer.reference(x)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                layer(x)
-        else:
-            np.testing.assert_array_equal(layer(x), expected)
+        layer = _engine().layer(w, "int8_upcast", m=m, padding=1, input_threshold=1.0)
+        outcomes = set()
+        for scale in (0.01, 0.3, 3.0, 100.0):
+            x = rng.standard_normal((1, 4, 12, 12)) * scale
+            overflow = self._max_transformed(layer, x) > 32767
+            outcomes.add(overflow)
+            if overflow:
+                with pytest.raises(OverflowError):
+                    layer.reference(x)
+                with pytest.raises(OverflowError):
+                    layer(x)
+            else:
+                np.testing.assert_array_equal(layer(x), layer.reference(x))
+        assert outcomes == ({False, True} if m == 6 else {False})
 
-    def test_direct_meta(self, rng):
-        """No plan meta; the packed s8 filter carries the Eq. 9
-        compensation of the +128-biased u8 activations as ``init``."""
+
+class TestPlanOperands:
+    def test_direct_compensation(self, rng):
+        """The packed s8 filter carries the Eq. 9 compensation of the
+        +128-biased u8 activations as ``init``."""
         engine = _engine()
         layer = engine.layer(rng.standard_normal((3, 4, 3, 3)) * 0.1,
                              "int8_direct", m=0, padding=1)
-        assert layer.plan.meta == {}
         w = layer.filters_q.reshape(3, -1).astype(np.int64)
         np.testing.assert_array_equal(layer.plan.operands["init"], [-128 * w.sum(axis=1)])
         assert layer.plan.operands["b_packed"].dtype == np.int8
+
+    def test_nbytes_counts_shared_arrays_once(self, rng):
+        """A 64x64 F(4,3) fp32_winograd plan: its ``u_f64`` operand is the
+        layer's 1.18 MB ``u``, counted once."""
+        plan = _engine().plan_for(rng.standard_normal((64, 64, 3, 3)), "fp32_winograd",
+                                  m=4, padding=1)
+        assert plan.operands["u_f64"] is plan.layer.u
+        layer_bytes = sum(v.nbytes for v in vars(plan.layer).values()
+                          if isinstance(v, np.ndarray))
+        assert plan.layer.u.nbytes == 36 * 64 * 64 * 8
+        assert plan.nbytes == layer_bytes
+
+    def test_nbytes_counts_views_by_their_owner(self, rng):
+        plan = _engine().plan_for(rng.standard_normal((8, 4, 3, 3)), "lowino", m=2)
+        assert plan.operands["init"] is plan.layer.zbar
+        before = plan.nbytes
+        plan.operands["view"] = plan.layer.zbar[:1]
+        assert plan.nbytes == before
 
 
 class TestNaNActivations:
@@ -206,6 +214,29 @@ class TestNaNActivations:
         x = rng.standard_normal((2, 3, 8, 8))
         x[1, 2, 3, 4] = np.nan
         with pytest.raises(ValueError, match="NaN"):
+            layer(x)
+
+    def test_uncalibrated_lowino_raises_on_nan(self, rng):
+        layer = _engine().layer(rng.standard_normal((4, 3, 3, 3)) * 0.1, "lowino",
+                                m=2, padding=1)
+        x = rng.standard_normal((2, 3, 8, 8))
+        x[0, 0, 4, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            layer(x)
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["minmax", "calibrated"])
+    def test_lowino_raises_on_infinity(self, calibrated, rng):
+        """LoWino transforms before it quantizes: every chain through an
+        infinite pixel meets a zero coefficient or an opposite infinity,
+        so its tiles turn NaN and the call raises -- on the NaN code once
+        calibrated, on the NaN min/max scale before."""
+        layer = _engine().layer(rng.standard_normal((4, 3, 3, 3)) * 0.1, "lowino",
+                                m=2, padding=1)
+        if calibrated:
+            layer.calibrate([rng.standard_normal((2, 3, 8, 8))])
+        x = rng.standard_normal((2, 3, 8, 8))
+        x[1, 2, 3, 3] = np.inf
+        with pytest.raises(ValueError, match="NaN" if calibrated else "scale"):
             layer(x)
 
     @pytest.mark.parametrize("algorithm", ["int8_upcast", "int8_downscale", "int8_direct"])
@@ -252,7 +283,10 @@ class _LapRecorder:
 #: ``runtime.backends.<algorithm>.<stage>_ms`` metrics and the stage
 #: share gates are keyed by these names.
 EXPECTED_LAPS = {
+    # Uncalibrated LoWino quantizes with per-call min/max params after
+    # the pass; calibrated LoWino quantizes inside it.
     "lowino": ["input_transform", "quantize", "gemm", "output_transform"],
+    "lowino-calibrated": ["input_transform", "gemm", "output_transform"],
     "int8_upcast": ["quantize", "input_transform", "gemm", "output_transform"],
     "int8_downscale": ["quantize", "input_transform", "gemm", "output_transform"],
     "int8_direct": ["quantize", "input_transform", "gemm", "output_transform"],
@@ -264,13 +298,16 @@ EXPECTED_LAPS = {
 class TestStageLaps:
     @pytest.mark.parametrize("bias,relu", [(False, False), (True, False), (False, True)],
                              ids=["plain", "bias", "relu"])
-    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", [*FUSED_ALGORITHMS, "lowino-calibrated"])
     def test_lap_sequence(self, algorithm, bias, relu, rng):
         config = EDGE_CONFIGS[-1]
         x, w = make_inputs(config)
         tracer = _LapRecorder()
         engine = ExecutionEngine(cache=PlanCache(capacity=8), tracer=tracer)
-        plan = engine.plan_for(w, algorithm, m=config.m, padding=config.padding)
+        plan = engine.plan_for(w, algorithm.split("-")[0], m=config.m,
+                               padding=config.padding)
+        if algorithm == "lowino-calibrated":
+            plan.layer.calibrate([x])
         engine.execute(plan, x, bias=rng.standard_normal(w.shape[0]) if bias else None,
                        relu=relu)
         epilogue = ["epilogue"] if bias or relu else []

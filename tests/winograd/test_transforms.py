@@ -5,7 +5,6 @@ import pytest
 
 from repro.winograd import (
     filter_transform,
-    gemm_layout_transform,
     input_transform,
     output_transform,
     transform_2d,
@@ -39,44 +38,6 @@ class TestTransform2d:
         alg = winograd_algorithm(2, 3)
         with pytest.raises(ValueError):
             transform_2d(alg.bt, rng.standard_normal((2, 5, 5)))
-
-
-class TestGemmLayoutTransform:
-    """The whole-layer GEMM-layout transform is bitwise the per-tile
-    ``transform_2d``: same dot products, same order, other call shape."""
-
-    @staticmethod
-    def _per_tile(mat, cols):
-        tiles = np.ascontiguousarray(cols.transpose(2, 0, 1))  # (X, in, in)
-        return transform_2d(mat, tiles).transpose(1, 2, 0)
-
-    @pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "out"])
-    @pytest.mark.parametrize("data", ["gaussian", "integer"])
-    @pytest.mark.parametrize("side", ["bt", "at"])
-    @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_matches_per_tile(self, m, side, data, buffers):
-        rng = np.random.default_rng([m, len(side), len(data), buffers])
-        mat = getattr(winograd_algorithm(m, 3), side)
-        o, i = mat.shape
-        # Single columns first (the gemv hazard), then random widths.
-        for x in [1, 1, 1, 2, 3, *rng.integers(4, 2500, size=4)]:
-            if data == "gaussian":
-                cols = rng.standard_normal((i, i, x)) * rng.uniform(0.01, 100.0)
-            else:
-                cols = rng.integers(-255, 256, size=(i, i, x)).astype(np.float64)
-            kwargs = {}
-            if buffers:
-                kwargs = {"half": np.empty((i, o, x)), "out": np.empty((o, o, x))}
-            got = gemm_layout_transform(mat, cols, **kwargs)
-            assert got.shape == (o, o, x)
-            np.testing.assert_array_equal(got, self._per_tile(mat, cols))
-            if buffers:
-                assert np.shares_memory(got, kwargs["out"])
-
-    def test_operand_shape_checked(self, rng):
-        alg = winograd_algorithm(2, 3)
-        with pytest.raises(ValueError):
-            gemm_layout_transform(alg.bt, rng.standard_normal((4, 3, 5)))
 
 
 class TestNamedTransforms:
