@@ -1,11 +1,7 @@
 """Section 4.4: static scheduling load balance and multicore scaling."""
 
-import numpy as np
-import pytest
-
 from repro.parallel import StaticSchedule
 from repro.perf import predict_layer_times
-from repro.runtime.pool import get_pool
 from repro.workloads import TABLE2_LAYERS, layer_by_name
 
 
@@ -18,20 +14,6 @@ def test_static_schedule_balance_table():
         imb = StaticSchedule.for_tasks(tiles, 8).imbalance()
         print(f"  {layer.name:14s} {tiles:6d} tiles -> imbalance {imb:.3f}")
         assert imb < 1.25
-
-
-@pytest.mark.parametrize("omega", [1, 2, 4, 8])
-def test_bench_fork_join_stage(benchmark, rng, omega):
-    """Real fork-join over a transform-like elementwise stage, on the
-    persistent worker pool."""
-    data = rng.standard_normal((512, 4096))
-    out = np.empty_like(data)
-
-    def stage(lo, hi):
-        out[lo:hi] = np.tanh(data[lo:hi]) * 2.0
-
-    benchmark(get_pool(omega).run_partitioned, stage, 512, omega)
-    assert np.allclose(out, np.tanh(data) * 2.0)
 
 
 def test_modeled_multicore_scaling():

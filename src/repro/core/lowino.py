@@ -97,8 +97,6 @@ class LoWinoConv2d:
     calibration_method: str = "kl"
     use_blocked_gemm: bool = False
     blocking: Optional[BlockingParams] = None
-    #: Threads for the blocked GEMM's fork-join execution (Section 4.4).
-    omega: int = 1
     input_params: Optional[QuantParams] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -198,7 +196,7 @@ class LoWinoConv2d:
         would: the input and output transforms visit one spatial tile at
         a time in Python loops, and the GEMM runs through the packed
         Table 1 layouts with the serial per-task loop
-        (:func:`repro.gemm.batched_gemm_reference`).  Numerically
+        (:func:`repro.gemm.batched_gemm_blocked`).  Numerically
         identical to :meth:`__call__` (integer arithmetic is exact and
         the float stages perform the same operations); the vectorized
         runtime engine is benchmarked and equivalence-tested against
@@ -228,9 +226,7 @@ class LoWinoConv2d:
         params = self.blocking or default_blocking(n, c, k)
         v_packed = pack_transformed_inputs(vbar, params.n_blk, params.c_blk)
         u_packed = pack_transformed_filters(self.u_q, params.c_blk, params.k_blk)
-        from ..gemm import batched_gemm_reference
-
-        z = batched_gemm_reference(v_packed, u_packed, self.zbar, params, n, c, k)
+        z = batched_gemm_blocked(v_packed, u_packed, self.zbar, params, n, c, k)
         denom = in_params.scale * self.filter_params.scale
         z_fp = z.astype(np.float64) / denom
         acc_tiles = gemm_result_to_tiles(z_fp, b, grid, k)
@@ -254,8 +250,7 @@ class LoWinoConv2d:
         params = self.blocking or default_blocking(n, c, k)
         v_packed = pack_transformed_inputs(vbar, params.n_blk, params.c_blk)
         u_packed = pack_transformed_filters(self.u_q, params.c_blk, params.k_blk)
-        return batched_gemm_blocked(v_packed, u_packed, self.zbar, params,
-                                    n, c, k, omega=self.omega)
+        return batched_gemm_blocked(v_packed, u_packed, self.zbar, params, n, c, k)
 
     # ------------------------------------------------------------------
     # Introspection used by experiments / perf model

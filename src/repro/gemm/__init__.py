@@ -3,7 +3,6 @@
 from .batched import (
     GemmWorkload,
     batched_gemm_blocked,
-    batched_gemm_reference,
     compensation_term,
     gemm_workload,
 )
@@ -19,7 +18,6 @@ from .reference import gemm_s8s8_reference, gemm_s16_reference, gemm_u8s8_refere
 __all__ = [
     "GemmWorkload",
     "batched_gemm_blocked",
-    "batched_gemm_reference",
     "compensation_term",
     "gemm_workload",
     "L2_ELEM_LIMIT",

@@ -14,7 +14,9 @@ The execution path loops over cache blocks (N_blk, C_blk, K_blk) exactly
 as the real kernel would, accumulating each ``(N_blk, K_blk)`` buffer
 across the C dimension before it is "non-temporally stored" to the
 output; arithmetic inside a block is a single int32 matmul, which the
-tests prove bit-identical to the instruction-level simulation.
+tests prove bit-identical to the instruction-level simulation.  It runs
+serially, as the Figure 7 reference: the runtime's integer GEMMs are
+:mod:`repro.native`'s, which split each call over the host's cores.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .microkernel import unpack_u_block
 __all__ = [
     "compensation_term",
     "batched_gemm_blocked",
-    "batched_gemm_reference",
     "GemmWorkload",
     "gemm_workload",
 ]
@@ -45,42 +46,6 @@ def compensation_term(u: np.ndarray) -> np.ndarray:
     if u.dtype != np.int8:
         raise ValueError(f"compensation expects int8 U, got {u.dtype}")
     return (-128 * u.astype(np.int64).sum(axis=1)).astype(np.int32)
-
-
-def _run_task_range(
-    v_packed: np.ndarray,
-    u_packed: np.ndarray,
-    out: np.ndarray,
-    params: BlockingParams,
-    start: int,
-    stop: int,
-) -> None:
-    """The per-task loop: tasks ``[start, stop)`` of the row-major
-    ``(T, kb, nb)`` grid, each producing one disjoint (N_blk, K_blk)
-    output block.  This is the loop-based execution the vectorized
-    runtime engine replaces; it stays as the differential reference."""
-    nb, cb, _, n_blk, _ = v_packed.shape
-    _, kb, _, _, _ = u_packed.shape
-    k_blk = params.k_blk
-    u_cache_key = None
-    u_cols = None
-    for task in range(start, stop):
-        ti, rem = divmod(task, kb * nb)
-        kbi, nbi = divmod(rem, nb)
-        if u_cache_key != (ti, kbi):
-            # Pre-unpack this (t, kb) column panel once; consecutive
-            # tasks share it (contiguous assignment = cache reuse,
-            # the property Section 4.4 calls out).
-            u_cols = [
-                unpack_u_block(u_packed[cbi, kbi, ti]).astype(np.int32)
-                for cbi in range(cb)
-            ]
-            u_cache_key = (ti, kbi)
-        acc = np.zeros((n_blk, k_blk), dtype=np.int32)  # the L2 z-buffer
-        for cbi in range(cb):
-            acc += v_packed[nbi, cbi, ti].astype(np.int32) @ u_cols[cbi]
-        out[ti, nbi * n_blk : (nbi + 1) * n_blk,
-            kbi * k_blk : (kbi + 1) * k_blk] = acc
 
 
 def _check_operands(
@@ -104,30 +69,6 @@ def _check_operands(
         )
 
 
-def batched_gemm_reference(
-    v_packed: np.ndarray,
-    u_packed: np.ndarray,
-    zbar: np.ndarray,
-    params: BlockingParams,
-    n: int,
-    c: int,
-    k: int,
-) -> np.ndarray:
-    """Serial per-task loop over the blocked layouts (the reference).
-
-    Same contract as :func:`batched_gemm_blocked`; kept as the loop-based
-    execution for differential testing and as the baseline the runtime
-    benchmark measures the vectorized engine against.
-    """
-    _check_operands(v_packed, u_packed, params)
-    nb, cb, t, n_blk, _ = v_packed.shape
-    kb = u_packed.shape[1]
-    out = np.empty((t, nb * n_blk, kb * params.k_blk), dtype=np.int32)
-    _run_task_range(v_packed, u_packed, out, params, 0, t * kb * nb)
-    out = out[:, :n, :k]
-    return out + zbar[:, None, :k]
-
-
 def batched_gemm_blocked(
     v_packed: np.ndarray,
     u_packed: np.ndarray,
@@ -136,9 +77,9 @@ def batched_gemm_blocked(
     n: int,
     c: int,
     k: int,
-    omega: int = 1,
 ) -> np.ndarray:
-    """Execute all ``T`` blocked GEMMs.
+    """Execute all ``T`` blocked GEMMs serially, as the Figure 7 loop nest
+    (the runtime's GEMMs run in :mod:`repro.native`).
 
     Parameters
     ----------
@@ -155,13 +96,6 @@ def batched_gemm_blocked(
         Blocking parameters; must match the packed shapes.
     n, c, k:
         Logical (unpadded) GEMM dimensions.
-    omega:
-        Thread count for the execution over the ``(T, kb, nb)``
-        sub-matrix grid (Section 4.4's static schedule; each thread gets
-        a contiguous range).  1 = serial.  Parallel execution runs on
-        the persistent :mod:`repro.runtime.pool` worker pool -- the
-        threads survive across calls instead of being forked and joined
-        per GEMM.
 
     Returns
     -------
@@ -171,21 +105,29 @@ def batched_gemm_blocked(
     _check_operands(v_packed, u_packed, params)
     nb, cb, t, n_blk, _ = v_packed.shape
     kb = u_packed.shape[1]
-    out = np.empty((t, nb * n_blk, kb * params.k_blk), dtype=np.int32)
-
-    # Task grid flattened row-major as (T, kb, nb); each task computes
-    # one disjoint (N_blk, K_blk) output block, so concurrent workers
-    # never write overlapping memory.
-    def run_range(start: int, stop: int) -> None:
-        _run_task_range(v_packed, u_packed, out, params, start, stop)
-
-    tasks = t * kb * nb
-    if omega <= 1:
-        run_range(0, tasks)
-    else:
-        from ..runtime.pool import get_pool
-
-        get_pool(omega).run_partitioned(run_range, tasks, omega)
+    k_blk = params.k_blk
+    out = np.empty((t, nb * n_blk, kb * k_blk), dtype=np.int32)
+    # One task per (N_blk, K_blk) output block over the row-major
+    # (T, kb, nb) grid.
+    u_cache_key = None
+    u_cols = None
+    for task in range(t * kb * nb):
+        ti, rem = divmod(task, kb * nb)
+        kbi, nbi = divmod(rem, nb)
+        if u_cache_key != (ti, kbi):
+            # Pre-unpack this (t, kb) column panel once; consecutive
+            # tasks share it (contiguous assignment = cache reuse,
+            # the property Section 4.4 calls out).
+            u_cols = [
+                unpack_u_block(u_packed[cbi, kbi, ti]).astype(np.int32)
+                for cbi in range(cb)
+            ]
+            u_cache_key = (ti, kbi)
+        acc = np.zeros((n_blk, k_blk), dtype=np.int32)  # the L2 z-buffer
+        for cbi in range(cb):
+            acc += v_packed[nbi, cbi, ti].astype(np.int32) @ u_cols[cbi]
+        out[ti, nbi * n_blk : (nbi + 1) * n_blk,
+            kbi * k_blk : (kbi + 1) * k_blk] = acc
     out = out[:, :n, :k]
     # Compensation: remove the +128 bias contribution (broadcast over N).
     out = out + zbar[:, None, :k]

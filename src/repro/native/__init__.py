@@ -21,6 +21,14 @@ command and the compiler's stderr.
 ``VARIANTS``, the variants this CPU supports, best first
 (``avx512_vnni``, ``avx2`` where the CPU also has FMA, ``c``).  Its
 GEMMs and transform passes come as one set; nothing selects another.
+
+Every kernel splits its call over the cores in this process's affinity
+mask (Section 4.4): a thread team inside the library runs contiguous
+chunks of (image, tile row), T planes, GEMM rows or images, each
+writing its own outputs with the serial arithmetic, so the bytes never
+depend on the split.  Calls too small to pay for it, and calls made
+while another thread's call owns the team, run inline.  Nothing sets
+the team's size; :func:`team_stats` counts its work.
 """
 
 from __future__ import annotations
@@ -45,12 +53,13 @@ __all__ = [
     "pack_b",
     "padded_k",
     "quantize_pad_u8",
+    "team_stats",
     "winograd_input",
     "winograd_output",
 ]
 
 SOURCE = Path(__file__).with_name("kernels.c")
-FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 #: Linked after the source: the portable transforms call ``fma()``.
 LIBS = ("-lm",)
 #: Output columns per packed block (one 512-bit register of s32 lanes).
@@ -126,6 +135,8 @@ def _load(path: Path) -> ctypes.CDLL:
             fn = getattr(lib, f"repro_winograd_out_{variant}")
             fn.restype = None
             fn.argtypes = [_P, _I, _P, _I, _I, _I, _I, _I, _I, _P, _P]
+    lib.repro_team_stats.restype = None
+    lib.repro_team_stats.argtypes = [_P]
     return lib
 
 
@@ -303,7 +314,7 @@ def quantize_pad_u8(x: np.ndarray, scale: float, lo: int, hi: int, pad: int,
     b, c, h, w = x.shape
     if (x.dtype != np.float64 or out.dtype != np.uint8 or not out.flags.c_contiguous
             or pad < 0 or out.shape != (b, c, h + 2 * pad, w + 2 * pad)
-            or not -128 <= lo <= hi <= 127):
+            or not -128 <= lo <= hi <= 127 or any(s % 8 for s in x.strides)):
         raise ValueError(f"quantize_pad_u8: x {x.dtype}{x.shape} out {out.dtype}{out.shape}")
     strides = [s // 8 for s in x.strides]
     nans = LIB.repro_quantize_pad_u8(
@@ -327,3 +338,24 @@ def im2col_u8(x: np.ndarray, r: int, stride: int, out: np.ndarray) -> np.ndarray
         raise ValueError(f"im2col_u8: x {x.dtype}{x.shape} out {out.dtype}{out.shape}")
     LIB.repro_im2col_u8(x.ctypes.data, b, c, hp, wp, r, stride, out.ctypes.data, out.shape[1])
     return out
+
+
+#: The counters of :func:`team_stats`, in ``repro_team_stats``'s order.
+TEAM_STATS = ("threads", "split_calls", "inline_calls", "chunks", "chunks_caller",
+              "chunks_helpers")
+
+
+def team_stats() -> dict:
+    """The native thread team's size and work since the library loaded.
+
+    ``threads`` is the team's size -- the CPUs in this process's affinity
+    mask, 1 in a child forked after the team ran.  ``split_calls`` ran
+    on the team; ``inline_calls`` ran on their caller alone (too small
+    to split, one unit, a team of one, or the team busy with another
+    thread's call).  ``chunks`` counts the split calls' chunks, each run
+    by the caller (``chunks_caller``) or a helper (``chunks_helpers``);
+    with no call in flight ``chunks == chunks_caller + chunks_helpers``.
+    """
+    out = np.zeros(len(TEAM_STATS), dtype=np.int64)
+    LIB.repro_team_stats(out.ctypes.data)
+    return dict(zip(TEAM_STATS, (int(v) for v in out)))

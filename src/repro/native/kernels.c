@@ -36,10 +36,20 @@
  * this CPU runs, best first, and the loader binds the first.  The file
  * builds without -march flags: the SIMD variants carry target
  * attributes, and non-x86 builds compile only the portable C.
+ *
+ * Threads.  Every entry point above runs through the thread team
+ * (documented at its section below), which cuts the call into chunks
+ * that write disjoint parts of the output with the serial arithmetic,
+ * so the bytes do not depend on how many threads ran them.
  */
 
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
+#include <unistd.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define REPRO_X86 1
@@ -60,6 +70,236 @@ static inline int32_t load_i32(const void *p) {
     int32_t v;
     memcpy(&v, p, sizeof v);
     return v;
+}
+
+/* -- the thread team (Section 4.4) --------------------------------------- *
+ *
+ * One process-wide team of omega threads: the calling thread plus
+ * omega - 1 helper pthreads, started on the first split call.  omega is
+ * the CPU count of the process's affinity mask at that moment; nothing
+ * else sets it.
+ *
+ * A call is a range of ``units`` independent units -- (image, tile row)
+ * of a transform pass, T planes (or blocks of GEMM_ROWS rows when T = 1)
+ * of a GEMM, images of the u8 operand passes -- cut into
+ * min(units, CHUNKS_PER_THREAD * omega) contiguous chunks.  Chunk i
+ * covers units [units * i / n, units * (i + 1) / n): its range is fixed
+ * before the call runs, as Section 4.4's static schedule fixes it, and
+ * each chunk writes only its own units' outputs with the serial
+ * arithmetic.
+ *
+ * Which thread runs a chunk is decided at run time.  Each thread (the
+ * caller too) claims the next chunk from a counter tagged with the
+ * call's generation, so a helper that wakes late claims nothing of a
+ * later call.  The caller waits only for chunks that a running thread
+ * has claimed, never for a helper to start: with no helper running, a
+ * call costs one claim loop more than the serial code.  A static
+ * assignment would have the caller wait on a helper whose vCPU the host
+ * is not running (DESIGN 6h).
+ *
+ * Idle helpers park on a condition variable at once; nothing spins
+ * between calls.  A call below SPLIT_MIN_WORK (DESIGN 6h has its
+ * measurement), a call with one unit, a team of one, and a call that
+ * finds the team owned by another thread run inline on the caller
+ * without waking anyone.
+ *
+ * fork(): the owner lock is held across it, so no call is in flight;
+ * the child has no helpers, so it sets omega = 1 and runs every call
+ * inline on its own thread.
+ */
+
+/* Chunks per team thread: more than one, so a helper that starts late
+ * leaves its share to the threads that run. */
+#define CHUNKS_PER_THREAD 4
+/* Work below which a split does not pay for waking a helper.  Each entry
+ * point estimates its work as its serial time in nanoseconds on the
+ * avx512_vnni host of DESIGN 6h, within about 2x; that section has the
+ * measurement behind the 30 us. */
+#define SPLIT_MIN_WORK 30000
+/* Rows per unit of a one-plane GEMM: a multiple of both micro-kernels'
+ * row blocks (6 for avx512_vnni, 4 for avx2). */
+#define GEMM_ROWS 12
+
+typedef void (*chunk_fn)(const void *args, int64_t lo, int64_t hi);
+
+static struct {
+    pthread_mutex_t owner; /* held by the caller of a split call */
+    pthread_mutex_t mu;    /* guards the job fields and gen */
+    pthread_cond_t wake;   /* helpers park here */
+    int64_t omega;         /* 0 until sized */
+    int64_t helpers;       /* helper threads running */
+    uint32_t gen;          /* the current call's generation */
+    chunk_fn fn;
+    const void *args;
+    int64_t units, nchunks;
+    uint64_t claim;        /* (gen << 32) | next chunk, atomic */
+    int64_t done;          /* chunks finished in this call, atomic */
+    int64_t stats[5];      /* split, inline, chunks, by caller, by helpers */
+} team = {.owner = PTHREAD_MUTEX_INITIALIZER,
+            .mu = PTHREAD_MUTEX_INITIALIZER,
+            .wake = PTHREAD_COND_INITIALIZER};
+
+enum { SPLIT_CALLS, INLINE_CALLS, CHUNKS, CHUNKS_CALLER, CHUNKS_HELPERS };
+
+static inline void count(int which, int64_t n) {
+    __atomic_fetch_add(&team.stats[which], n, __ATOMIC_RELAXED);
+}
+
+static inline void cpu_relax(void) {
+#ifdef REPRO_X86
+    __builtin_ia32_pause();
+#endif
+}
+
+static int64_t team_size(void) {
+    int64_t omega = __atomic_load_n(&team.omega, __ATOMIC_ACQUIRE);
+    if (omega)
+        return omega;
+#ifdef __linux__
+    cpu_set_t set;
+    omega = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+#else
+    omega = sysconf(_SC_NPROCESSORS_ONLN);
+#endif
+    omega = omega < 1 ? 1 : omega;
+    int64_t unset = 0;
+    __atomic_compare_exchange_n(&team.omega, &unset, omega, 0, __ATOMIC_ACQ_REL,
+                                __ATOMIC_ACQUIRE);
+    return __atomic_load_n(&team.omega, __ATOMIC_ACQUIRE);
+}
+
+/* The next unclaimed chunk of call ``gen``, or -1 once it has none. */
+static int64_t claim_chunk(uint32_t gen, int64_t nchunks) {
+    uint64_t cur = __atomic_load_n(&team.claim, __ATOMIC_ACQUIRE);
+    for (;;) {
+        if ((uint32_t)(cur >> 32) != gen || (int64_t)(cur & 0xFFFFFFFFu) >= nchunks)
+            return -1;
+        if (__atomic_compare_exchange_n(&team.claim, &cur, cur + 1, 1, __ATOMIC_ACQ_REL,
+                                        __ATOMIC_ACQUIRE))
+            return (int64_t)(cur & 0xFFFFFFFFu);
+    }
+}
+
+static void run_chunks(uint32_t gen, chunk_fn fn, const void *args, int64_t units,
+                       int64_t nchunks, int who) {
+    int64_t i;
+    while ((i = claim_chunk(gen, nchunks)) >= 0) {
+        fn(args, units * i / nchunks, units * (i + 1) / nchunks);
+        count(who, 1);
+        __atomic_fetch_add(&team.done, 1, __ATOMIC_RELEASE);
+    }
+}
+
+static void *helper_main(void *arg) {
+    uint32_t seen = (uint32_t)(uintptr_t)arg;
+    pthread_mutex_lock(&team.mu);
+    for (;;) {
+        while (team.gen == seen)
+            pthread_cond_wait(&team.wake, &team.mu);
+        seen = team.gen;
+        chunk_fn fn = team.fn;
+        const void *args = team.args;
+        int64_t units = team.units, nchunks = team.nchunks;
+        pthread_mutex_unlock(&team.mu);
+        run_chunks(seen, fn, args, units, nchunks, CHUNKS_HELPERS);
+        pthread_mutex_lock(&team.mu);
+    }
+    return NULL;
+}
+
+static void fork_prepare(void) {
+    pthread_mutex_lock(&team.owner);
+    pthread_mutex_lock(&team.mu);
+}
+
+static void fork_parent(void) {
+    pthread_mutex_unlock(&team.mu);
+    pthread_mutex_unlock(&team.owner);
+}
+
+static void fork_child(void) {
+    team.omega = 1;
+    team.helpers = 0;
+    pthread_cond_init(&team.wake, NULL);
+    pthread_mutex_unlock(&team.mu);
+    pthread_mutex_unlock(&team.owner);
+}
+
+/* Starts the helpers once (the caller owns the team); 0 if none runs.
+ * A helper that cannot be created shrinks the team for good. */
+static int64_t team_start(int64_t omega) {
+    if (team.helpers)
+        return team.helpers;
+    static int registered;
+    if (!registered)
+        registered = pthread_atfork(fork_prepare, fork_parent, fork_child) == 0;
+    if (!registered) {
+        __atomic_store_n(&team.omega, 1, __ATOMIC_RELEASE);
+        return 0;
+    }
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    for (int64_t i = 1; i < omega; i++) {
+        pthread_t thread;
+        if (pthread_create(&thread, &attr, helper_main, (void *)(uintptr_t)team.gen) != 0)
+            break;
+        team.helpers++;
+    }
+    pthread_attr_destroy(&attr);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    __atomic_store_n(&team.omega, team.helpers + 1, __ATOMIC_RELEASE);
+    return team.helpers;
+}
+
+/* fn(args, lo, hi) over the chunks of [0, units), on the team when the
+ * call is worth splitting and the team is free, else inline. */
+static void team_run(chunk_fn fn, const void *args, int64_t units, int64_t work) {
+    int64_t helpers = 0;
+    if (units > 1 && work >= SPLIT_MIN_WORK && team_size() > 1
+        && pthread_mutex_trylock(&team.owner) == 0) {
+        helpers = team_start(team_size());
+        if (!helpers)
+            pthread_mutex_unlock(&team.owner);
+    }
+    if (!helpers) {
+        count(INLINE_CALLS, 1);
+        fn(args, 0, units);
+        return;
+    }
+    int64_t nchunks = CHUNKS_PER_THREAD * (helpers + 1);
+    nchunks = nchunks < units ? nchunks : units;
+    pthread_mutex_lock(&team.mu);
+    uint32_t gen = ++team.gen;
+    team.fn = fn;
+    team.args = args;
+    team.units = units;
+    team.nchunks = nchunks;
+    __atomic_store_n(&team.done, 0, __ATOMIC_RELAXED);
+    __atomic_store_n(&team.claim, (uint64_t)gen << 32, __ATOMIC_RELEASE);
+    pthread_mutex_unlock(&team.mu);
+    pthread_cond_broadcast(&team.wake);
+    run_chunks(gen, fn, args, units, nchunks, CHUNKS_CALLER);
+    for (int spins = 0; __atomic_load_n(&team.done, __ATOMIC_ACQUIRE) < nchunks; spins++) {
+        if (spins % 1024 == 1023)
+            sched_yield();
+        else
+            cpu_relax();
+    }
+    count(SPLIT_CALLS, 1);
+    count(CHUNKS, nchunks);
+    pthread_mutex_unlock(&team.owner);
+}
+
+/* threads (omega), split calls, inline calls, chunks, chunks run by the
+ * caller, chunks run by helpers -- counted since the library loaded. */
+void repro_team_stats(int64_t *out) {
+    out[0] = team_size();
+    for (int i = 0; i < 5; i++)
+        out[i + 1] = __atomic_load_n(&team.stats[i], __ATOMIC_RELAXED);
 }
 
 /* -- portable C ---------------------------------------------------------- */
@@ -108,26 +348,31 @@ static void block_s16s16_c(const int16_t *a, int64_t lda, int64_t rows,
     }
 }
 
-void repro_gemm_u8s8_c(const uint8_t *a, const int8_t *b, const int32_t *init,
-                       int32_t *c, int64_t t, int64_t m, int64_t n, int64_t kp) {
+/* Each variant's serial GEMM over T planes of m rows: a and b as bytes. */
+#define GEMM_ARGS                                                                        \
+    const uint8_t *a, const uint8_t *b, const int32_t *init, int32_t *c, int64_t t,      \
+        int64_t m, int64_t n, int64_t kp
+typedef void (*gemm_fn)(GEMM_ARGS);
+
+static void gemm_u8s8_c(GEMM_ARGS) {
     int64_t nb = (n + LANES - 1) / LANES;
     for (int64_t ti = 0; ti < t; ti++)
         for (int64_t j = 0; j < nb; j++) {
             int64_t n0 = j * LANES;
             int64_t ncols = n - n0 < LANES ? n - n0 : LANES;
-            block_u8s8_c(a + ti * m * kp, kp, m, b + (ti * nb + j) * kp * LANES, kp,
-                         init + ti * n + n0, c + ti * m * n + n0, n, ncols);
+            block_u8s8_c(a + ti * m * kp, kp, m, (const int8_t *)b + (ti * nb + j) * kp * LANES,
+                         kp, init + ti * n + n0, c + ti * m * n + n0, n, ncols);
         }
 }
 
-void repro_gemm_s16s16_c(const int16_t *a, const int16_t *b, const int32_t *init,
-                         int32_t *c, int64_t t, int64_t m, int64_t n, int64_t kp) {
+static void gemm_s16s16_c(GEMM_ARGS) {
     int64_t nb = (n + LANES - 1) / LANES;
+    const int16_t *a16 = (const int16_t *)a, *b16 = (const int16_t *)b;
     for (int64_t ti = 0; ti < t; ti++)
         for (int64_t j = 0; j < nb; j++) {
             int64_t n0 = j * LANES;
             int64_t ncols = n - n0 < LANES ? n - n0 : LANES;
-            block_s16s16_c(a + ti * m * kp, kp, m, b + (ti * nb + j) * kp * LANES, kp,
+            block_s16s16_c(a16 + ti * m * kp, kp, m, b16 + (ti * nb + j) * kp * LANES, kp,
                            init + ti * n + n0, c + ti * m * n + n0, n, ncols);
         }
 }
@@ -219,17 +464,8 @@ VNNI_INLINE void gemm_vnni(const int s16, const uint8_t *a, const uint8_t *b,
     }
 }
 
-VNNI void repro_gemm_u8s8_avx512_vnni(const uint8_t *a, const int8_t *b, const int32_t *init,
-                                      int32_t *c, int64_t t, int64_t m, int64_t n,
-                                      int64_t kp) {
-    gemm_vnni(0, a, (const uint8_t *)b, init, c, t, m, n, kp);
-}
-
-VNNI void repro_gemm_s16s16_avx512_vnni(const int16_t *a, const int16_t *b,
-                                        const int32_t *init, int32_t *c, int64_t t,
-                                        int64_t m, int64_t n, int64_t kp) {
-    gemm_vnni(1, (const uint8_t *)a, (const uint8_t *)b, init, c, t, m, n, kp);
-}
+static VNNI void gemm_u8s8_avx512_vnni(GEMM_ARGS) { gemm_vnni(0, a, b, init, c, t, m, n, kp); }
+static VNNI void gemm_s16s16_avx512_vnni(GEMM_ARGS) { gemm_vnni(1, a, b, init, c, t, m, n, kp); }
 
 /* -- AVX2 ---------------------------------------------------------------- *
  * Micro-kernel: MR <= 4 rows x one packed 16-column block (two 8-lane
@@ -323,17 +559,59 @@ AVX2_INLINE void gemm_avx2(const int s16, const uint8_t *a, const uint8_t *b,
     }
 }
 
-AVX2 void repro_gemm_u8s8_avx2(const uint8_t *a, const int8_t *b, const int32_t *init,
-                               int32_t *c, int64_t t, int64_t m, int64_t n, int64_t kp) {
-    gemm_avx2(0, a, (const uint8_t *)b, init, c, t, m, n, kp);
-}
-
-AVX2 void repro_gemm_s16s16_avx2(const int16_t *a, const int16_t *b, const int32_t *init,
-                                 int32_t *c, int64_t t, int64_t m, int64_t n, int64_t kp) {
-    gemm_avx2(1, (const uint8_t *)a, (const uint8_t *)b, init, c, t, m, n, kp);
-}
+static AVX2 void gemm_u8s8_avx2(GEMM_ARGS) { gemm_avx2(0, a, b, init, c, t, m, n, kp); }
+static AVX2 void gemm_s16s16_avx2(GEMM_ARGS) { gemm_avx2(1, a, b, init, c, t, m, n, kp); }
 
 #endif /* REPRO_X86 */
+
+/* -- the GEMMs on the team: T planes per unit, or GEMM_ROWS rows of the
+ * one plane when T = 1 (int8_direct). */
+struct gemm_args {
+    gemm_fn body;
+    int64_t esize;
+    const uint8_t *a, *b;
+    const int32_t *init;
+    int32_t *c;
+    int64_t t, m, n, kp;
+};
+
+static void gemm_chunk(const void *p, int64_t lo, int64_t hi) {
+    const struct gemm_args *g = p;
+    const int64_t lda = g->kp * g->esize;
+    if (g->t > 1) {
+        const int64_t bplane = (g->n + LANES - 1) / LANES * LANES * lda;
+        g->body(g->a + lo * g->m * lda, g->b + lo * bplane, g->init + lo * g->n,
+                g->c + lo * g->m * g->n, hi - lo, g->m, g->n, g->kp);
+    } else {
+        const int64_t r0 = lo * GEMM_ROWS, r1 = hi * GEMM_ROWS < g->m ? hi * GEMM_ROWS : g->m;
+        g->body(g->a + r0 * lda, g->b, g->init, g->c + r0 * g->n, 1, r1 - r0, g->n, g->kp);
+    }
+}
+
+static void gemm_split(gemm_fn body, int64_t esize, const void *a, const void *b,
+                       const int32_t *init, int32_t *c, int64_t t, int64_t m, int64_t n,
+                       int64_t kp) {
+    const struct gemm_args g = {body, esize, a, b, init, c, t, m, n, kp};
+    const int64_t units = t > 1 ? t : (m + GEMM_ROWS - 1) / GEMM_ROWS;
+    /* ~200 u8 x s8 MACs (100 s16) and 16 output bytes per ns */
+    const int64_t np16 = (n + LANES - 1) / LANES * LANES;
+    const int64_t work = t * m * (np16 * kp * esize + 48 * n) / 192;
+    team_run(gemm_chunk, &g, units, work);
+}
+
+#define GEMM_EXPORT(NAME, TA, TB, ESIZE)                                                  \
+    void repro_gemm_##NAME(const TA *a, const TB *b, const int32_t *init, int32_t *c,     \
+                           int64_t t, int64_t m, int64_t n, int64_t kp) {                 \
+        gemm_split(gemm_##NAME, ESIZE, a, b, init, c, t, m, n, kp);                       \
+    }
+GEMM_EXPORT(u8s8_c, uint8_t, int8_t, 1)
+GEMM_EXPORT(s16s16_c, int16_t, int16_t, 2)
+#ifdef REPRO_X86
+GEMM_EXPORT(u8s8_avx512_vnni, uint8_t, int8_t, 1)
+GEMM_EXPORT(s16s16_avx512_vnni, int16_t, int16_t, 2)
+GEMM_EXPORT(u8s8_avx2, uint8_t, int8_t, 1)
+GEMM_EXPORT(s16s16_avx2, int16_t, int16_t, 2)
+#endif
 
 /* Comma-separated variants this CPU runs, best first. */
 const char *repro_native_variants(void) {
@@ -368,17 +646,26 @@ static inline uint8_t code_u8(double x, double scale, double lo, double hi, int3
     return (uint8_t)((int32_t)v + 128);
 }
 
-/* The codes of the strided (B, C, H, W) float64 input ``x`` (strides in
- * elements) written into the contiguous (B, C, H + 2 pad, W + 2 pad) u8
- * buffer ``out``, whose border holds 128, the code of 0.  Returns the
- * number of NaN inputs; +-inf saturate to lo / hi. */
-CLONES int64_t repro_quantize_pad_u8(const double *x, int64_t b, int64_t ch, int64_t h, int64_t w,
-                              int64_t sb, int64_t sc, int64_t sh, int64_t sw,
-                              double scale, double lo, double hi, int64_t pad,
-                              uint8_t *out) {
+struct quantize_args {
+    const double *x;
+    int64_t ch, h, w, sb, sc, sh, sw;
+    double scale, lo, hi;
+    int64_t pad;
+    uint8_t *out;
+    int64_t *nans; /* summed over chunks */
+};
+
+/* Images [b0, b1) of repro_quantize_pad_u8. */
+static CLONES void quantize_pad_chunk(const void *p, int64_t b0, int64_t b1) {
+    const struct quantize_args *g = p;
+    const double *x = g->x;
+    const int64_t ch = g->ch, h = g->h, w = g->w, sb = g->sb, sc = g->sc, sh = g->sh, sw = g->sw;
+    const double scale = g->scale, lo = g->lo, hi = g->hi;
+    const int64_t pad = g->pad;
+    uint8_t *out = g->out;
     const int64_t hp = h + 2 * pad, wp = w + 2 * pad, plane = hp * wp;
     int64_t nans = 0;
-    for (int64_t bi = 0; bi < b; bi++)
+    for (int64_t bi = b0; bi < b1; bi++)
         for (int64_t ci = 0; ci < ch; ci++) {
             uint8_t *oc = out + (bi * ch + ci) * plane;
             memset(oc, 128, (size_t)(pad * wp));
@@ -389,7 +676,7 @@ CLONES int64_t repro_quantize_pad_u8(const double *x, int64_t b, int64_t ch, int
             }
             memset(oc + (h + pad) * wp, 128, (size_t)(pad * wp));
         }
-    for (int64_t bi = 0; bi < b; bi++)
+    for (int64_t bi = b0; bi < b1; bi++)
         for (int64_t ci = 0; ci < ch; ci++)
             for (int64_t y = 0; y < h; y++) {
                 const double *xr = x + bi * sb + ci * sc + y * sh;
@@ -403,6 +690,20 @@ CLONES int64_t repro_quantize_pad_u8(const double *x, int64_t b, int64_t ch, int
                         orow[xi] = code_u8(xr[xi * sw], scale, lo, hi, &n);
                 nans += n;
             }
+    __atomic_fetch_add(g->nans, nans, __ATOMIC_RELAXED);
+}
+
+/* The codes of the strided (B, C, H, W) float64 input ``x`` (strides in
+ * elements) written into the contiguous (B, C, H + 2 pad, W + 2 pad) u8
+ * buffer ``out``, whose border holds 128, the code of 0.  Returns the
+ * number of NaN inputs; +-inf saturate to lo / hi.  Split over images. */
+int64_t repro_quantize_pad_u8(const double *x, int64_t b, int64_t ch, int64_t h, int64_t w,
+                              int64_t sb, int64_t sc, int64_t sh, int64_t sw, double scale,
+                              double lo, double hi, int64_t pad, uint8_t *out) {
+    int64_t nans = 0;
+    const struct quantize_args g = {x, ch, h, w, sb, sc, sh, sw, scale, lo, hi, pad, out, &nans};
+    /* ~2 ns per input */
+    team_run(quantize_pad_chunk, &g, b, 2 * b * ch * h * w);
     return nans;
 }
 
@@ -415,9 +716,9 @@ CLONES int64_t repro_quantize_pad_u8(const double *x, int64_t b, int64_t ch, int
  * increasing column order: the extra byte lands where the next run (or,
  * after the row's last run, the zero tail or the next row) is written
  * later.  The last row copies exactly, so nothing is read or written
- * past either buffer. */
-void repro_im2col_u8(const uint8_t *x, int64_t b, int64_t ch, int64_t hp, int64_t wp,
-                     int64_t r, int64_t stride, uint8_t *out, int64_t kp) {
+ * past either buffer -- or, on the team, past a chunk's own images. */
+static void im2col_u8(const uint8_t *x, int64_t b, int64_t ch, int64_t hp, int64_t wp,
+                      int64_t r, int64_t stride, uint8_t *out, int64_t kp) {
     const int64_t oh = (hp - r) / stride + 1, ow = (wp - r) / stride + 1;
     const int64_t k = ch * r * r, plane = hp * wp, m = b * oh * ow;
     for (int64_t bi = 0; bi < b; bi++)
@@ -441,6 +742,29 @@ void repro_im2col_u8(const uint8_t *x, int64_t b, int64_t ch, int64_t hp, int64_
                 }
                 memset(row + k, 0, (size_t)(kp - k));
             }
+}
+
+struct im2col_args {
+    const uint8_t *x;
+    int64_t ch, hp, wp, r, stride;
+    uint8_t *out;
+    int64_t kp;
+};
+
+/* Images [b0, b1) as a call of their own. */
+static void im2col_chunk(const void *p, int64_t b0, int64_t b1) {
+    const struct im2col_args *g = p;
+    const int64_t rows = ((g->hp - g->r) / g->stride + 1) * ((g->wp - g->r) / g->stride + 1);
+    im2col_u8(g->x + b0 * g->ch * g->hp * g->wp, b1 - b0, g->ch, g->hp, g->wp, g->r,
+              g->stride, g->out + b0 * rows * g->kp, g->kp);
+}
+
+void repro_im2col_u8(const uint8_t *x, int64_t b, int64_t ch, int64_t hp, int64_t wp,
+                     int64_t r, int64_t stride, uint8_t *out, int64_t kp) {
+    const struct im2col_args g = {x, ch, hp, wp, r, stride, out, kp};
+    const int64_t rows = ((hp - r) / stride + 1) * ((wp - r) / stride + 1);
+    /* ~8 ns per row and 8 bytes per ns */
+    team_run(im2col_chunk, &g, b, b * rows * (kp / 8 + 8));
 }
 
 /* -- Winograd transform passes ------------------------------------------- *
@@ -736,17 +1060,35 @@ ALWAYS_INLINE void emit_lanes(const int L, const int MODE, const double *v, cons
  * pass keeps under 64 KB of stack and its block stays in L1. */
 #define STAGE_ELEMS 512
 
+/* The arguments of one input pass, as the exported entry takes them. */
+struct wt_in_args {
+    const double *x;
+    int64_t nb, nc, h, w, sb, sc, sh, sw, pad, m, a;
+    const double *bt;
+    int64_t mode;
+    void *out;
+    int64_t ldo;
+    const double *scale;
+    double lo, hi;
+    int64_t *counts;
+};
+
 /* B^T d B of every tile of the (nb, nc, h, w) image ``x`` (strides in
  * elements) zero-padded by ``pad`` on every side and out to the tile
  * grid, as element e = q * a + p of row n = (b * th + ti) * tw + tj of
  * the (a * a, N, ldo) operand ``out``, channels [0, nc): float64, or the
  * u8 code clip(rint(v * scale[e]), lo, hi) + 128, or s16.  counts[0]
- * gets the NaN codes (u8, s16), counts[1] the |v| > 32767 (s16). */
-ALWAYS_INLINE void winograd_input_body(
-    const int ISA, const int MODE, const double *x, int64_t nb, int64_t nc, int64_t h,
-    int64_t w, int64_t sb, int64_t sc, int64_t sh, int64_t sw, int64_t pad, int64_t m,
-    int64_t a, const double *bt, void *out, int64_t ldo, const double *scale, double lo,
-    double hi, int64_t *counts) {
+ * gets the NaN codes (u8, s16), counts[1] the |v| > 32767 (s16).  This
+ * body runs the tile rows b * th + ti in [row0, row1). */
+ALWAYS_INLINE void winograd_input_body(const int ISA, const int MODE,
+                                       const struct wt_in_args *g, int64_t row0,
+                                       int64_t row1) {
+    const double *x = g->x;
+    const int64_t nb = g->nb, nc = g->nc, h = g->h, w = g->w, sb = g->sb, sc = g->sc;
+    const int64_t sh = g->sh, sw = g->sw, pad = g->pad, m = g->m, a = g->a, ldo = g->ldo;
+    const double *bt = g->bt, *scale = g->scale;
+    const double lo = g->lo, hi = g->hi;
+    void *out = g->out;
     const int L = ISA == ISA_AVX512 ? 8 : 4;
     const int64_t r = a - m + 1;
     const int64_t th = (h + 2 * pad - r + m) / m, tw = (w + 2 * pad - r + m) / m;
@@ -756,88 +1098,104 @@ ALWAYS_INLINE void winograd_input_body(
     double v[MAX_ALPHA * MAX_ALPHA * WT_LANES];
     uint8_t q[MAX_ALPHA * MAX_ALPHA * WT_LANES];
     int64_t nans = 0, over = 0;
-    for (int64_t bi = 0; bi < nb; bi++)
-        for (int64_t ti = 0; ti < th; ti++)
-            for (int64_t c0 = 0; c0 < nc; c0 += L)
-                for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
-                    const int64_t cn = nc - c0 < L ? nc - c0 : L;
-                    const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
-                    const int64_t width = (nt - 1) * m + a;
-                    stage_rows(L, x + bi * sb + c0 * sc, sc, sh, sw, h, w, ti * m - pad, a,
-                               tj0 * m - pad, width, cn, stage);
-                    int32_t n32 = 0, o32 = 0;
-                    for (int64_t tj = 0; tj < nt; tj++) {
-                        const int64_t n = (bi * th + ti) * tw + tj0 + tj;
-                        tile_2d(ISA, a, a, bt, stage + tj * m * L, width, hb, v, a);
-                        if (MODE == OPERAND_U8)
-                            n32 += quant_u8(ISA, v, a * a, cn, scale, lo, hi, q);
-                        for (int64_t e = 0; e < a * a; e++)
-                            emit_lanes(L, MODE, v + e * L, q + e * L, cn, out,
-                                       (e * nall + n) * ldo + c0, &n32, &o32);
-                    }
-                    nans += n32;
-                    over += o32;
+    for (int64_t row = row0; row < row1; row++) {
+        const int64_t bi = row / th, ti = row % th;
+        for (int64_t c0 = 0; c0 < nc; c0 += L)
+            for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
+                const int64_t cn = nc - c0 < L ? nc - c0 : L;
+                const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
+                const int64_t width = (nt - 1) * m + a;
+                stage_rows(L, x + bi * sb + c0 * sc, sc, sh, sw, h, w, ti * m - pad, a,
+                           tj0 * m - pad, width, cn, stage);
+                int32_t n32 = 0, o32 = 0;
+                for (int64_t tj = 0; tj < nt; tj++) {
+                    const int64_t n = (bi * th + ti) * tw + tj0 + tj;
+                    tile_2d(ISA, a, a, bt, stage + tj * m * L, width, hb, v, a);
+                    if (MODE == OPERAND_U8)
+                        n32 += quant_u8(ISA, v, a * a, cn, scale, lo, hi, q);
+                    for (int64_t e = 0; e < a * a; e++)
+                        emit_lanes(L, MODE, v + e * L, q + e * L, cn, out,
+                                   (e * nall + n) * ldo + c0, &n32, &o32);
                 }
-    counts[0] = nans;
-    counts[1] = over;
+                nans += n32;
+                over += o32;
+            }
+    }
+    __atomic_fetch_add(&g->counts[0], nans, __ATOMIC_RELAXED);
+    __atomic_fetch_add(&g->counts[1], over, __ATOMIC_RELAXED);
 }
+
+struct wt_out_args {
+    const void *z;
+    int64_t s32;
+    const double *denom;
+    int64_t nb, k, oh, ow, m, a;
+    const double *at;
+    double *out;
+};
 
 /* A^T Z A of every tile of the (a * a, N, k) accumulators ``z`` -- s32
  * divided by the (a * a, k) ``denom``, or float64 -- assembled into the
- * C-contiguous (nb, k, oh, ow) ``out``, the grid's overhang cropped. */
-ALWAYS_INLINE void winograd_output_body(
-    const int ISA, const int S32, const void *z, const double *denom, int64_t nb, int64_t k,
-    int64_t oh, int64_t ow, int64_t m, int64_t a, const double *at, double *out) {
+ * C-contiguous (nb, k, oh, ow) ``out``, the grid's overhang cropped.
+ * This body runs the tile rows b * th + ti in [row0, row1). */
+ALWAYS_INLINE void winograd_output_body(const int ISA, const int S32,
+                                        const struct wt_out_args *g, int64_t row0,
+                                        int64_t row1) {
+    const void *z = g->z;
+    const double *denom = g->denom, *at = g->at;
+    const int64_t nb = g->nb, k = g->k, oh = g->oh, ow = g->ow, m = g->m, a = g->a;
+    double *out = g->out;
     const int L = ISA == ISA_AVX512 ? 8 : 4;
     const int64_t th = (oh + m - 1) / m, tw = (ow + m - 1) / m;
     const int64_t nall = nb * th * tw, chunk = STAGE_ELEMS / (m * m);
     double stage[STAGE_ELEMS * WT_LANES];
     double zt[MAX_ALPHA * MAX_ALPHA * WT_LANES];
     double hb[MAX_ALPHA * MAX_ALPHA * WT_LANES];
-    for (int64_t bi = 0; bi < nb; bi++)
-        for (int64_t ti = 0; ti < th; ti++)
-            for (int64_t k0 = 0; k0 < k; k0 += L)
-                for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
-                    const int64_t kn = k - k0 < L ? k - k0 : L;
-                    const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
-                    const int64_t width = nt * m;
-                    for (int64_t tj = 0; tj < nt; tj++) {
-                        const int64_t n = (bi * th + ti) * tw + tj0 + tj;
-                        for (int64_t e = 0; e < a * a; e++) {
-                            double *ze = zt + e * L;
-                            const int64_t off = (e * nall + n) * k + k0;
-                            if (S32) {
-                                const int32_t *zp = (const int32_t *)z + off;
-                                const double *dp = denom + e * k + k0;
-                                if (kn == L)
-                                    for (int l = 0; l < L; l++)
-                                        ze[l] = (double)zp[l] / dp[l];
-                                else
-                                    for (int l = 0; l < L; l++)
-                                        ze[l] = l < kn ? (double)zp[l] / dp[l] : 0.0;
-                            } else {
-                                const double *zp = (const double *)z + off;
-                                if (kn == L)
-                                    for (int l = 0; l < L; l++)
-                                        ze[l] = zp[l];
-                                else
-                                    for (int l = 0; l < L; l++)
-                                        ze[l] = l < kn ? zp[l] : 0.0;
-                            }
+    for (int64_t row = row0; row < row1; row++) {
+        const int64_t bi = row / th, ti = row % th;
+        for (int64_t k0 = 0; k0 < k; k0 += L)
+            for (int64_t tj0 = 0; tj0 < tw; tj0 += chunk) {
+                const int64_t kn = k - k0 < L ? k - k0 : L;
+                const int64_t nt = tw - tj0 < chunk ? tw - tj0 : chunk;
+                const int64_t width = nt * m;
+                for (int64_t tj = 0; tj < nt; tj++) {
+                    const int64_t n = (bi * th + ti) * tw + tj0 + tj;
+                    for (int64_t e = 0; e < a * a; e++) {
+                        double *ze = zt + e * L;
+                        const int64_t off = (e * nall + n) * k + k0;
+                        if (S32) {
+                            const int32_t *zp = (const int32_t *)z + off;
+                            const double *dp = denom + e * k + k0;
+                            if (kn == L)
+                                for (int l = 0; l < L; l++)
+                                    ze[l] = (double)zp[l] / dp[l];
+                            else
+                                for (int l = 0; l < L; l++)
+                                    ze[l] = l < kn ? (double)zp[l] / dp[l] : 0.0;
+                        } else {
+                            const double *zp = (const double *)z + off;
+                            if (kn == L)
+                                for (int l = 0; l < L; l++)
+                                    ze[l] = zp[l];
+                            else
+                                for (int l = 0; l < L; l++)
+                                    ze[l] = l < kn ? zp[l] : 0.0;
                         }
-                        tile_2d(ISA, m, a, at, zt, a, hb, stage + tj * m * L, width);
                     }
-                    const int64_t rows = oh - ti * m < m ? oh - ti * m : m;
-                    const int64_t cols = ow - tj0 * m < width ? ow - tj0 * m : width;
-                    for (int64_t l = 0; l < kn; l++)
-                        for (int64_t q = 0; q < rows; q++) {
-                            double *dst =
-                                out + ((bi * k + k0 + l) * oh + ti * m + q) * ow + tj0 * m;
-                            const double *src = stage + q * width * L + l;
-                            for (int64_t xo = 0; xo < cols; xo++)
-                                dst[xo] = src[xo * L];
-                        }
+                    tile_2d(ISA, m, a, at, zt, a, hb, stage + tj * m * L, width);
                 }
+                const int64_t rows = oh - ti * m < m ? oh - ti * m : m;
+                const int64_t cols = ow - tj0 * m < width ? ow - tj0 * m : width;
+                for (int64_t l = 0; l < kn; l++)
+                    for (int64_t q = 0; q < rows; q++) {
+                        double *dst =
+                            out + ((bi * k + k0 + l) * oh + ti * m + q) * ow + tj0 * m;
+                        const double *src = stage + q * width * L + l;
+                        for (int64_t xo = 0; xo < cols; xo++)
+                            dst[xo] = src[xo * L];
+                    }
+            }
+    }
 }
 
 #define WT_INPUT_ARGS                                                                       \
@@ -845,30 +1203,50 @@ ALWAYS_INLINE void winograd_output_body(
         int64_t sh, int64_t sw, int64_t pad, int64_t m, int64_t a, const double *bt,         \
         int64_t mode, void *out, int64_t ldo, const double *scale, double lo, double hi,     \
         int64_t *counts
-#define WT_INPUT(ISA, MODE)                                                                 \
-    winograd_input_body(ISA, MODE, x, nb, nc, h, w, sb, sc, sh, sw, pad, m, a, bt, out, ldo, \
-                        scale, lo, hi, counts)
 #define WT_OUTPUT_ARGS                                                                      \
     const void *z, int64_t s32, const double *denom, int64_t nb, int64_t k, int64_t oh,     \
         int64_t ow, int64_t m, int64_t a, const double *at, double *out
-#define WT_OUTPUT(ISA, S32) \
-    winograd_output_body(ISA, S32, z, denom, nb, k, oh, ow, m, a, at, out)
+
+/* Both passes on the team, split over (image, tile row).  Work: ~2 ns
+ * (input) or 2.5 ns (output) per alpha^3 of each tile and block of 8
+ * channels. */
+static void wt_in_run(chunk_fn chunk, const struct wt_in_args *g) {
+    const int64_t a = g->a, m = g->m, r = a - m + 1;
+    const int64_t th = (g->h + 2 * g->pad - r + m) / m, tw = (g->w + 2 * g->pad - r + m) / m;
+    team_run(chunk, g, g->nb * th, g->nb * th * tw * ((g->nc + 7) / 8) * a * a * a * 2);
+}
+
+static void wt_out_run(chunk_fn chunk, const struct wt_out_args *g) {
+    const int64_t a = g->a, m = g->m, th = (g->oh + m - 1) / m, tw = (g->ow + m - 1) / m;
+    team_run(chunk, g, g->nb * th, g->nb * th * tw * ((g->k + 7) / 8) * a * a * a * 5 / 2);
+}
 
 /* The exported pair of one variant. */
-#define WT_DEFINE(ATTR, NAME, ISA)                                     \
-    ATTR void repro_winograd_in_##NAME(WT_INPUT_ARGS) {             \
-        if (mode == OPERAND_U8)                                        \
-            WT_INPUT(ISA, OPERAND_U8);                                 \
-        else if (mode == OPERAND_S16)                                  \
-            WT_INPUT(ISA, OPERAND_S16);                                \
-        else                                                           \
-            WT_INPUT(ISA, OPERAND_F64);                                \
-    }                                                                  \
-    ATTR void repro_winograd_out_##NAME(WT_OUTPUT_ARGS) {           \
-        if (s32)                                                       \
-            WT_OUTPUT(ISA, 1);                                         \
-        else                                                           \
-            WT_OUTPUT(ISA, 0);                                         \
+#define WT_DEFINE(ATTR, NAME, ISA)                                                     \
+    static ATTR void wt_in_chunk_##NAME(const void *p, int64_t lo, int64_t hi) {      \
+        const struct wt_in_args *g = p;                                                \
+        if (g->mode == OPERAND_U8)                                                     \
+            winograd_input_body(ISA, OPERAND_U8, g, lo, hi);                           \
+        else if (g->mode == OPERAND_S16)                                               \
+            winograd_input_body(ISA, OPERAND_S16, g, lo, hi);                          \
+        else                                                                           \
+            winograd_input_body(ISA, OPERAND_F64, g, lo, hi);                          \
+    }                                                                                  \
+    static ATTR void wt_out_chunk_##NAME(const void *p, int64_t lo, int64_t hi) {     \
+        const struct wt_out_args *g = p;                                               \
+        if (g->s32)                                                                    \
+            winograd_output_body(ISA, 1, g, lo, hi);                                   \
+        else                                                                           \
+            winograd_output_body(ISA, 0, g, lo, hi);                                   \
+    }                                                                                  \
+    void repro_winograd_in_##NAME(WT_INPUT_ARGS) {                                     \
+        const struct wt_in_args g = {x, nb, nc, h,   w,    sb,  sc,    sh, sw, pad,    \
+                                     m, a,  bt, mode, out, ldo, scale, lo, hi, counts}; \
+        wt_in_run(wt_in_chunk_##NAME, &g);                                             \
+    }                                                                                  \
+    void repro_winograd_out_##NAME(WT_OUTPUT_ARGS) {                                   \
+        const struct wt_out_args g = {z, s32, denom, nb, k, oh, ow, m, a, at, out};    \
+        wt_out_run(wt_out_chunk_##NAME, &g);                                           \
     }
 
 WT_DEFINE(, c, ISA_C)

@@ -95,13 +95,21 @@ def run_profile(config: ProfileConfig) -> Dict[str, Any]:
     ``reset_stats``, so the numbers describe the steady-state online
     path.  ``agreement_gap`` is the relative difference between the
     tracer's total and the session's independent per-step timing total.
+    ``team`` is what the native thread team did over the profiled runs
+    (:func:`repro.native.team_stats`): whether a second core worked.
     """
+    from .. import native
+
     tracer = StageTracer()
     session, x, _ = _build_session(config, tracer)
     session.run(x)  # warm: plans, scratch arena, BLAS threads
     session.reset_stats()
+    before = native.team_stats()
     for _ in range(max(1, config.runs)):
         session.run(x)
+    after = native.team_stats()
+    team = {key: after[key] - before[key] for key in after}
+    team["threads"] = after["threads"]
     breakdown = tracer.breakdown()
     timings = session.layer_timings()
     stage_total = tracer.total_seconds()
@@ -117,6 +125,7 @@ def run_profile(config: ProfileConfig) -> Dict[str, Any]:
         "step_total_s": step_total,
         "agreement_gap": gap,
         "cache_stats": session.cache_stats(),
+        "team": team,
     }
 
 
@@ -169,6 +178,13 @@ def format_profile(doc: Dict[str, Any]) -> str:
         f"{doc['step_total_s'] * 1e3:.3f}ms "
         f"(gap {doc['agreement_gap'] * 100:.2f}%)"
     )
+    team = doc.get("team")
+    if team:
+        lines.append(
+            f"native team: {team['threads']} threads; {team['split_calls']} split calls, "
+            f"{team['inline_calls']} inline; {team['chunks']} chunks, "
+            f"{team['chunks_caller']} by the caller, {team['chunks_helpers']} by helpers"
+        )
     return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Vectorized execution runtime: plans, cache, engine, worker pool.
+"""Vectorized execution runtime: plans, cache, engine.
 
 This package is the online half of the paper's offline/online split
 (Section 4): :mod:`~repro.runtime.plan` prepares everything a layer
@@ -6,8 +6,8 @@ needs ahead of time, :mod:`~repro.runtime.cache` keeps prepared plans
 (and nothing else) in a bounded LRU, :mod:`~repro.runtime.engine`
 executes plans as whole-tensor NumPy pipelines with no Python-level
 tile or task loops, leasing each call's intermediates from one
-grow-to-fit scratch pool per engine, and :mod:`~repro.runtime.pool` provides the
-persistent worker threads the blocked GEMM's static schedule runs on.
+grow-to-fit scratch pool per engine; the native kernels split each call
+over the host's cores themselves (:mod:`repro.native`).
 :mod:`~repro.runtime.bench` measures it all against the loop-based
 ``*_reference`` paths and gates regressions.
 
@@ -32,7 +32,6 @@ from .plan import (
     get_plan,
     plan_key,
 )
-from .pool import WorkerPool, get_pool, shutdown_pool
 from .session import InferenceSession
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "RuntimeLayer",
     "ScratchArena",
     "ScratchPool",
-    "WorkerPool",
     "build_plan",
     "cache_stats",
     "clear_cache",
@@ -57,11 +55,9 @@ __all__ = [
     "default_engine",
     "filters_digest",
     "get_plan",
-    "get_pool",
     "lower",
     "make_layer",
     "plan_key",
-    "shutdown_pool",
 ]
 
 

@@ -44,11 +44,13 @@ The engine (:class:`~repro.runtime.engine.ExecutionEngine`) owns the
 scratch pool and builds the call's tile grid; it hands the lease in
 through a :class:`FusedCall` and the tile grid as an argument.
 
-Every pipeline issues its GEMM as one serial call.  Multi-core
-execution in the paper's sense (Section 4.4, static scheduling of
-independent tile tasks) is :func:`repro.gemm.batched_gemm_blocked` at
-``omega > 1`` on the :class:`~repro.runtime.pool.WorkerPool`, which
-``LoWinoConv2d(use_blocked_gemm=True)`` runs.
+Multi-core execution in the paper's sense (Section 4.4: independent
+tile tasks, statically partitioned over cores) happens inside each
+native call: :mod:`repro.native`'s thread team splits the transform
+passes over (image, tile row), the integer GEMMs over T planes (rows
+when T = 1) and ``int8_direct``'s operand passes over images, and every
+chunk writes its own outputs with the serial arithmetic.  The FP32
+twins' ``np.matmul`` stays on BLAS's own threads.
 
 Bit-identity contract
 ---------------------

@@ -10,7 +10,7 @@ turn around in benchmark time).  Three families of numbers come out:
 * speedup of each algorithm vs the vectorized ``fp32_direct`` path on
   the same layer (the paper's baseline normalization, Figure 8), and
 * the vectorized-engine vs loop-reference ratio for the Winograd INT8
-  family (``reference_forward`` + :func:`repro.gemm.batched_gemm_reference`)
+  family (``reference_forward`` + :func:`repro.gemm.batched_gemm_blocked`)
   -- the number that justifies the runtime's existence.
 
 Every number comes from :func:`repro.perf.measured.measure`: one

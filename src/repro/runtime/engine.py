@@ -5,9 +5,9 @@ once -- each Winograd transform as one native pass over the whole
 layer (gather + ``B^T d B`` + quantize into the GEMM layout;
 dequantize + ``A^T Z A`` + assembly out of it), the batched GEMM as one
 call -- with no per-tile or per-task Python loop anywhere.  The
-loop-based implementations stay available as ``*_reference``
+loop-based implementations stay available
 (:meth:`repro.core.LoWinoConv2d.reference_forward`,
-:func:`repro.gemm.batched_gemm_reference`) for differential testing.
+:func:`repro.gemm.batched_gemm_blocked`) for differential testing.
 
 All six algorithms -- the four quantized pipelines and the two FP32
 baselines -- run as fused pipelines (:mod:`repro.runtime.backends`):
@@ -119,6 +119,11 @@ class ExecutionEngine:
         if plan.algorithm not in FUSED_ALGORITHMS:
             raise ValueError(f"engine cannot execute algorithm {plan.algorithm!r}")
         images = np.asarray(images, dtype=np.float64)
+        if any(s % images.itemsize for s in images.strides):
+            # The native passes read whole elements (a structured array's
+            # float64 field can sit 12 bytes apart); NHWC-backed views
+            # keep their zero-copy path.
+            images = np.ascontiguousarray(images)
         layer = plan.layer
         if images.ndim != 4 or images.shape[1] != layer.filters_fp32.shape[1]:
             raise ValueError(

@@ -29,11 +29,12 @@ settings.load_profile("repro")
 
 def pytest_report_header(config):
     """Name the native kernel variant -- GEMMs and Winograd transform
-    passes -- this run exercises."""
+    passes -- this run exercises, and the thread team's size."""
     from repro import native
 
     return (f"repro.native: {native.VARIANT} GEMMs and transform passes "
-            f"(supported: {', '.join(native.VARIANTS)})")
+            f"(supported: {', '.join(native.VARIANTS)}), "
+            f"team of {native.team_stats()['threads']} threads")
 
 
 @pytest.fixture(scope="session")

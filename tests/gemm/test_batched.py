@@ -70,31 +70,6 @@ class TestBatchedGemm:
         )
         assert np.all(out == -128 * 127 * c)
 
-    @pytest.mark.parametrize("omega", [2, 4, 7])
-    def test_parallel_equals_serial(self, omega):
-        """Fork-join execution over the task grid is bit-identical."""
-        rng = derive_rng(omega)
-        t, n, c, k = 4, 40, 24, 128
-        v = rng.integers(-128, 128, (t, n, c)).astype(np.int8)
-        u = rng.integers(-128, 128, (t, c, k)).astype(np.int8)
-        params = BlockingParams(n_blk=12, c_blk=8, k_blk=64, row_blk=6, col_blk=4)
-        vbar = (v.astype(np.int16) + 128).astype(np.uint8)
-        vp = pack_transformed_inputs(vbar, params.n_blk, params.c_blk)
-        up = pack_transformed_filters(u, params.c_blk, params.k_blk)
-        zbar = compensation_term(u)
-        serial = batched_gemm_blocked(vp, up, zbar, params, n, c, k, omega=1)
-        parallel = batched_gemm_blocked(vp, up, zbar, params, n, c, k, omega=omega)
-        assert np.array_equal(serial, parallel)
-
-    def test_lowino_layer_parallel_path(self, rng):
-        from repro.core import LoWinoConv2d
-
-        x = np.maximum(rng.standard_normal((1, 8, 12, 12)), 0)
-        w = rng.standard_normal((8, 8, 3, 3)) * 0.2
-        serial = LoWinoConv2d(w, m=2, padding=1, use_blocked_gemm=True, omega=1)
-        threaded = LoWinoConv2d(w, m=2, padding=1, use_blocked_gemm=True, omega=4)
-        assert np.array_equal(serial(x), threaded(x))
-
     def test_operand_mismatch(self, rng):
         params = BlockingParams(n_blk=12, c_blk=8, k_blk=64, row_blk=6, col_blk=4)
         v = rng.integers(0, 256, (1, 2, 16, 12, 8)).astype(np.uint8)

@@ -63,13 +63,18 @@ def test_failed_build_raises_import_error_with_stderr(tmp_path, monkeypatch):
 def test_two_threads_in_one_kernel_match_serial(algorithm, make_rng):
     """ctypes drops the GIL for the call, so both threads run the kernels
     (GEMMs and transform passes) on the plan's operands at once; each
-    gets the serial bytes."""
+    gets the serial bytes.  The calls are large enough to split, so one
+    thread's calls run on the thread team while the other's, finding it
+    busy, run inline."""
     rng = make_rng()
     engine = ExecutionEngine(cache=PlanCache(capacity=4))
     plan = engine.plan_for(rng.standard_normal((32, 32, 3, 3)) * 0.1, algorithm,
                            m=2, padding=1)
     xs = [rng.standard_normal((8, 32, 16, 16)) for _ in range(2)]
+    before = native.team_stats()
     serial = [engine.execute(plan, x) for x in xs]
+    split = native.team_stats()["split_calls"] - before["split_calls"]
+    assert split >= 2 if before["threads"] > 1 else split == 0
     barrier = threading.Barrier(2)
     got = [None, None]
 

@@ -84,6 +84,26 @@ class TestEdgeGridBitIdentity:
         plain = np.maximum(layer(x) + bias[None, :, None, None], 0.0)
         np.testing.assert_array_equal(fused, plain)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("algorithm", FUSED_ALGORITHMS)
+    def test_input_strides_off_the_itemsize(self, algorithm, seed):
+        """A structured array's float64 field sits 12 bytes apart: the
+        engine copies it whole before the native passes read it, so the
+        output is the contiguous input's and the eager layer's."""
+        rng = np.random.default_rng([seed, 12])
+        x = rng.standard_normal((2, 5, 9, 7))
+        record = np.zeros(x.shape, dtype=[("f", "f8"), ("g", "i4")])
+        record["f"] = x
+        strided = record["f"]
+        assert strided.strides[-1] == 12
+        layer = _engine().layer(rng.standard_normal((4, 5, 3, 3)) * 0.3, algorithm,
+                                m=2, padding=1)
+        if algorithm == "lowino":
+            layer.calibrate([rng.standard_normal((2, 5, 9, 7))])
+        got = layer(strided)
+        np.testing.assert_array_equal(got, layer(x))
+        np.testing.assert_array_equal(got, layer.reference(x))
+
 
 class TestModelBitIdentity:
     """Compiled-vs-eager, whole networks.
